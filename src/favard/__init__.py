@@ -36,6 +36,7 @@ from .errors import (
     FavardError,
     NearSingularityError,
     SingularStepError,
+    SolverError,
     UncertifiedError,
 )
 from .scenarios import (

@@ -77,7 +77,7 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    """Cross-check the subgradient minimizer against the brute-force grid."""
+    """Cross-check the solver's minimizer against the brute-force grid."""
     try:
         scenario = _load_scenario(args.scenario)
     except (ConfigError, json.JSONDecodeError) as exc:
@@ -105,7 +105,7 @@ def _cmd_oracle(args) -> int:
         return EXIT_ERROR
     gap = abs(result.value - v_grid)
     if not args.quiet:
-        print(f"subgradient: value {result.value!r} at {result.u_bar.tolist()!r}")
+        print(f"solver: value {result.value!r} at {result.u_bar.tolist()!r}")
         print(f"grid oracle: value {v_grid!r} at {np.asarray(u_grid).tolist()!r}")
         print(f"gap: {gap!r}")
     agree = gap <= 1e-6 * (1.0 + abs(v_grid)) + 1e-9

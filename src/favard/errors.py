@@ -36,6 +36,10 @@ class BlowUpError(FavardError):
         super().__init__(message)
 
 
+class SolverError(FavardError):
+    """The min-max solver ran out of pivots, or roundoff broke its first LP."""
+
+
 class UncertifiedError(FavardError):
     """A downstream stage requires a certified fixed point but got an inconclusive one."""
 

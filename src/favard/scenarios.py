@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -234,14 +235,25 @@ def resolve_seed(sys: CocycleSystem, scenario: Scenario) -> tuple[CocycleSystem,
 
 
 def _allocate_run_dir(out_root: Path, scenario: Scenario) -> Path:
+    """Create ``run-NNN`` one past the highest index in the scenario's group.
+
+    One directory scan, then ``mkdir`` claims the name; a concurrent run
+    that claimed it first makes the next index the candidate.  Gaps left by
+    deleted runs are not refilled.
+    """
     group = out_root / f"{scenario.name}-{scenario.digest()}"
     group.mkdir(parents=True, exist_ok=True)
-    counter = 1
-    while (group / f"run-{counter:03d}").exists():
-        counter += 1
-    run_dir = group / f"run-{counter:03d}"
-    run_dir.mkdir()
-    return run_dir
+    with os.scandir(group) as entries:
+        taken = [int(e.name[4:]) for e in entries
+                 if e.name.startswith("run-") and e.name[4:].isdigit()]
+    counter = max(taken, default=0) + 1
+    while True:
+        run_dir = group / f"run-{counter:03d}"
+        try:
+            run_dir.mkdir()
+            return run_dir
+        except FileExistsError:
+            counter += 1
 
 
 def _write(path: Path, text: str) -> None:
@@ -318,7 +330,6 @@ def run_scenario(
             "weights": result.weights.tolist(),
             "iterations": result.iterations,
             "hull_dimension": result.hull_dimension,
-            "tie_break_shift": result.tie_break_shift,
             "fixed_point": report.to_dict(),
             "provenance": {
                 "scenario_digest": scenario.digest(),
@@ -329,6 +340,7 @@ def run_scenario(
                     "method": result.method,
                     "iterations": result.iterations,
                     "converged": result.converged,
+                    "lower_bound": result.lower_bound,
                 },
             },
         }

@@ -3,16 +3,17 @@
 Given the affine return maps ``u -> Phi_k u + b_k`` collected at shifts
 that nearly return the base phase, the candidate distinguished state
 minimizes ``l(u) = max_k |Phi_k u + b_k - u0|`` over the convex hull of
-the return images of the anchor ``u0``.  A small residual of ``l`` at
-the minimizer certifies an (approximate) common fixed point of the
-return semigroup.
+the return images of the anchor ``u0``, nearest the anchor among
+minimizers: a linear program in the hull weights (see :func:`solve_minmax`).
+A small residual of ``l`` at the minimizer certifies an (approximate)
+common fixed point of the return semigroup.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,11 +22,9 @@ from .cocycle import (
     CocycleSystem,
     _as_state,
     affine_map_samples,
-    affine_path,
 )
-from .errors import UncertifiedError
+from .errors import SolverError, UncertifiedError
 
-_FLAT_GRADIENT = 1e-14
 _HULL_RANK_TOL = 1e-10
 
 
@@ -209,14 +208,18 @@ class FavardProblem:
 
 @dataclass(frozen=True)
 class FavardResult:
+    """Minimizer of the min-max functional, with ``iterations`` the simplex
+    pivots spent and ``lower_bound`` the stage-1 LP value, a certified lower
+    bound on the optimum (0 where the method certifies none)."""
+
     u_bar: np.ndarray
     value: float
     weights: np.ndarray
     iterations: int
     converged: bool
-    tie_break_shift: float
+    lower_bound: float
     hull_dimension: int
-    method: str = "subgradient"
+    method: str = "two_stage_lp"
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -228,210 +231,205 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - css[rho] / (rho + 1.0), 0.0)
 
 
-def _norm_gradient(sys: CocycleSystem, x: np.ndarray) -> np.ndarray:
-    """A subgradient of the state norm at x."""
-    if sys.norm_kind == "euclidean":
-        n = np.linalg.norm(x)
-        return x / n if n > 0 else np.zeros_like(x)
-    blocks = x.reshape(-1, sys.spec.dimension)
-    norms = np.linalg.norm(blocks, axis=1, keepdims=True)
-    g = np.divide(blocks, norms, out=np.zeros_like(blocks), where=norms > 0)
-    return g.ravel()
+#: Stage 2 may raise the stage-1 optimum ``t*`` by this factor of
+#: ``max(1, t*)`` while it moves toward the anchor.
+TIE_BREAK_SLACK = 1e-9
+#: On data scaled to unit size: reduced costs above ``-_TOL`` count as
+#: optimal, and a cut model within ``_TOL * max(1, norm)`` of every norm as
+#: exact; tableau entries below ``_PIVOT_TOL`` never serve as pivots, and an
+#: LP solution off a constraint by more has lost it to roundoff.
+_TOL = 1e-12
+_PIVOT_TOL = 1e-9
+#: Degenerate pivots in a row after which Bland's rule takes over.
+_STALL_PIVOTS = 50
 
 
-#: Weight of the anchor-proximity term added to the min-max objective.  It
-#: breaks ties on flat objectives (contracting cocycles make every hull
-#: point an equally good fixed-point candidate) in favor of the point
-#: nearest the anchor, while perturbing the reported optimum by at most
-#: this factor times the hull diameter.
-ANCHOR_REGULARIZATION = 1e-8
+def _simplex(c, A_ub, b_ub, A_eq, b_eq, budget: int):
+    """Minimize ``c @ x`` subject to ``A_ub x <= b_ub``, ``A_eq x = b_eq``, ``x >= 0``.
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+    Dense two-phase tableau; costs and right-hand sides must be nonnegative,
+    so the LP is bounded and the slacks and one artificial per equality form
+    the first basis.  The most negative reduced cost enters and the largest
+    tied pivot leaves, as these LPs are highly degenerate and smallest-index
+    choices often pivot on roundoff; after ``_STALL_PIVOTS`` degenerate
+    pivots in a row Bland's rule, which cannot cycle, takes over.  Returns
+    the solution (None if roundoff left no pivot or a singular basis) and
+    the pivots spent; raises :class:`SolverError` once ``budget`` is spent.
+    """
+    m_ub, n = A_ub.shape
+    m = m_ub + A_eq.shape[0]
+    T = np.zeros((m + 2, n + m + 1))
+    T[:m, :n] = np.vstack([A_ub, A_eq])
+    T[:m, n : n + m] = np.eye(m)
+    T[:m, -1] = np.concatenate([b_ub, b_eq])
+    T[m, :n] = c
+    T[m + 1] = -T[m_ub:m].sum(axis=0)  # phase 1: sum of the artificials
+    T[m + 1, n + m_ub : n + m] = 0.0
+    basis = np.arange(n, n + m)
+    pivots = 0
+
+    def pivot(r: int, j: int) -> None:
+        nonlocal pivots
+        if pivots == budget:
+            raise SolverError("the min-max solve reached its pivot cap")
+        T[r] /= T[r, j]
+        col = T[:, j].copy()
+        col[r] = 0.0
+        T[...] -= np.outer(col, T[r])
+        basis[r] = j
+        pivots += 1
+
+    def optimize(cost: int, width: int) -> bool:
+        stalled = 0  # pivots in a row that left the objective unchanged
+        while True:
+            entering = np.flatnonzero(T[cost, :width] < -_TOL)
+            if entering.size == 0:
+                return True
+            bland = stalled >= _STALL_PIVOTS
+            j = entering[0] if bland else entering[np.argmin(T[cost, entering])]
+            col = T[:m, j]
+            rows = np.flatnonzero(col > _PIVOT_TOL)
+            if rows.size == 0:  # a bounded LP has no such ray
+                return False
+            ratios = T[rows, -1] / col[rows]
+            ties = rows[ratios <= ratios.min() + _TOL]
+            before = T[cost, -1]
+            pivot(int(ties[np.argmin(basis[ties]) if bland else np.argmax(col[ties])]), int(j))
+            stalled = stalled + 1 if T[cost, -1] == before else 0
+
+    feasible = optimize(m + 1, n + m)
+    # an artificial left basic at level zero must not move in phase 2
+    for r in np.flatnonzero(basis >= n + m_ub):
+        cols = np.flatnonzero(np.abs(T[r, : n + m_ub]) > _PIVOT_TOL)
+        if cols.size:
+            pivot(int(r), int(cols[0]))
+    if not (feasible and optimize(m, n + m_ub)):
+        return None, pivots
+    # the basic values again from the data, free of the tableau's roundoff
+    x = np.zeros(n + m)
+    full = np.hstack([np.vstack([A_ub, A_eq]), np.eye(m)])
+    try:
+        x[basis] = np.linalg.solve(full[:, basis], np.concatenate([b_ub, b_eq]))
+    except np.linalg.LinAlgError:  # a basis singular to working precision
+        return None, pivots
+    return x[:n], pivots
 
 
-def _golden_section(f, lo: float, hi: float, iters: int = 90) -> tuple[float, float]:
-    """Minimize a unimodal function on [lo, hi]; returns (argmin, min)."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    cands = [(lo, f(lo)), (hi, f(hi)), (c, fc), (d, fd)]
-    return min(cands, key=lambda p: p[1])
+def _lp_minimize(R, block: int, bounded: int, budget: int, cap=None):
+    """Minimize over simplex weights by an LP model of the state norms.
+
+    Residual ``k`` at weights ``lam`` is ``R[k] @ lam``; its state norm sums
+    the Euclidean norms of its ``block``-sized pieces, each modelled by an
+    epigraph variable ``e >= g . r`` over cuts ``g``.  Residuals
+    ``k < bounded`` are held to norm ``<= t``; the objective is ``t`` if
+    that is all of them, else the norm of the last one, with ``t <= cap``.
+    Cuts start as ``+-`` the unit vectors, exact for scalar pieces; each
+    round adds ``r / |r|`` at the pieces of every residual whose norm
+    exceeds its model (Kelley's cutting planes) until none does by more than
+    ``_TOL``.  Returns the weights, the LP value, the pivots spent and
+    whether the model got there; once the LP can no longer resolve the cuts
+    it stops short, with the last LP that held.
+    """
+    M, N, K = R.shape
+    nb = N // block
+    scale = np.abs(R).max() or 1.0
+    pieces = R.reshape(M * nb, block, K) / scale
+    cols = K + 1 + M * nb  # lam, t, one epigraph variable per piece
+    c = np.zeros(cols)
+    c[K if bounded == M else slice(cols - nb, None)] = 1.0
+    sums = np.hstack([np.zeros((bounded, K)), -np.ones((bounded, 1)),
+                      np.kron(np.eye(bounded, M), np.ones(nb))])
+    fixed = np.vstack([sums] if cap is None else [sums, np.eye(1, cols, K)])
+    A_eq = (np.arange(cols) < K)[None].astype(float)
+    piece = np.arange(len(pieces)).repeat(2 * block)
+    g = np.tile(np.vstack([np.eye(block), -np.eye(block)]), (len(pieces), 1))
+    pivots, held = 0, None
+    while True:
+        rows = np.zeros((piece.size, cols))
+        rows[:, :K] = np.einsum("cb,cbk->ck", g, pieces[piece])
+        rows[np.arange(piece.size), K + 1 + piece] = -1.0
+        A_ub = np.vstack([rows, fixed])
+        b_ub = np.zeros(len(A_ub))
+        if cap is not None:
+            b_ub[-1] = cap / scale
+        x, used = _simplex(c, A_ub, b_ub, A_eq, np.ones(1), budget - pivots)
+        pivots += used
+        off = np.inf if x is None else max(
+            0.0, (A_ub @ x - b_ub).max(), abs(x[:K].sum() - 1.0), -x.min())
+        if off > _PIVOT_TOL:
+            if held is None:
+                raise SolverError("simplex lost precision to roundoff")
+            return (*held, pivots, False)
+        lam, t, e = x[:K], x[K], x[K + 1 :]
+        held = (lam, float(c @ x) * scale)
+        r = pieces @ lam
+        norms = np.linalg.norm(r, axis=1)
+        model = e.reshape(M, nb).sum(axis=1)
+        model[:bounded] = t
+        true = norms.reshape(M, nb).sum(axis=1)
+        short = true - model > _TOL * np.maximum(1.0, true)
+        # a cut the LP cannot resolve past its own roundoff would repeat
+        add = np.repeat(short, nb) & (norms - e > 2.0 * off)
+        if not add.any():
+            return (*held, pivots, not short.any())
+        piece = np.concatenate([piece, np.flatnonzero(add)])
+        g = np.vstack([g, r[add] / norms[add, None]])
 
 
 def solve_minmax(
     problem: FavardProblem,
-    method: str = "simplex_subgradient",
+    method: str = "two_stage_lp",
     iterations: int = 10_000,
-    polish_rounds: int = 200,
     grid_resolution: int = 801,
 ) -> FavardResult:
-    """Minimize the regularized max-residual functional over the hull.
+    """Minimize ``l(u) = max_k |Phi_k u + b_k - u0|`` over the hull, nearest the anchor.
 
-    The objective is ``l(u) + mu |u - anchor|`` with a tiny ``mu``
-    (:data:`ANCHOR_REGULARIZATION`), convex over the hull.  The default
-    method runs a projected subgradient on the simplex with Polyak-style
-    steps and best-iterate tracking, then polishes with exact line
-    searches toward hull vertices, which lands exactly on vertex
-    minimizers.  ``method="grid_oracle"`` instead brute-forces a grid of
-    the hull (dimension <= 2 only).
+    With ``u = P^T lam`` every residual is linear in the simplex weights
+    ``lam``, so the default method solves two LPs (:func:`_lp_minimize`):
+    stage 1 minimizes ``l``, whose optimum ``t*`` is the ``lower_bound``;
+    stage 2 keeps ``l(u) <= t* + TIE_BREAK_SLACK * max(1, t*)`` and
+    minimizes the state-norm distance ``|u - u0|``, picking the minimizer
+    nearest the anchor.  ``iterations`` caps the simplex pivots of the whole
+    solve; reaching it raises :class:`SolverError`.  ``method="grid_oracle"``
+    instead brute-forces a grid of the hull (dimension <= 2 only) and gets
+    its weights from stage 2 alone, with no cap and the grid point as anchor.
     """
-    if method not in ("simplex_subgradient", "grid_oracle"):
-        raise ValueError("method must be 'simplex_subgradient' or 'grid_oracle'")
-    sys = problem.system
+    if method not in ("two_stage_lp", "grid_oracle"):
+        raise ValueError("method must be 'two_stage_lp' or 'grid_oracle'")
     P = problem.hull_points  # (K, n)
     K = P.shape[0]
     dim = problem.hull_dimension()
-    mu = ANCHOR_REGULARIZATION
-
-    def composite(u: np.ndarray) -> float:
-        return problem.objective(u) + mu * float(sys.state_norm(u - problem.anchor))
-
-    lam = np.full(K, 1.0 / K)
-    spread = float(np.max(np.linalg.norm(P - P.mean(axis=0), axis=1)))
-    if dim == 0 or spread == 0.0:
-        u = P.mean(axis=0)
-        return FavardResult(
-            u_bar=u, value=problem.objective(u), weights=lam, iterations=0,
-            converged=True, tie_break_shift=0.0, hull_dimension=dim,
-        )
-
-    if method == "grid_oracle":
+    block = problem.system.spec.dimension
+    if dim == 0:
+        u_bar, lam, pivots, converged = P.mean(axis=0), np.full(K, 1.0 / K), 0, True
+        t_star = problem.objective(u_bar)
+    elif method == "grid_oracle":
         u_bar, _ = grid_oracle(problem, resolution=grid_resolution)
-        lam = _hull_weights(P, u_bar)
-        return FavardResult(
-            u_bar=u_bar,
-            value=problem.objective(u_bar),
-            weights=lam,
-            iterations=0,
-            converged=True,
-            tie_break_shift=0.0,
-            hull_dimension=dim,
-            method="grid_oracle",
-        )
-
-    def u_gradient(u: np.ndarray) -> tuple[float, np.ndarray]:
-        """Composite value and a subgradient in state space."""
-        best, g = -1.0, None
-        for m in problem.maps:
-            r = m.Phi @ u + m.b - problem.anchor
-            v = float(sys.state_norm(r))
-            if v > best:
-                best = v
-                g = m.Phi.T @ _norm_gradient(sys, r)
-        d = u - problem.anchor
-        return best + mu * float(sys.state_norm(d)), g + mu * _norm_gradient(sys, d)
-
-    def value_and_grad(lam: np.ndarray):
-        val, gu = u_gradient(P.T @ lam)
-        g = P @ gu
-        # the all-ones component is annulled by the simplex constraint, so
-        # work with the tangent-space gradient throughout
-        return val, g - g.mean()
-
-    best_val = math.inf
-    best_lam = lam
-    it = 0
-    for it in range(1, iterations + 1):
-        val, g = value_and_grad(lam)
-        if val < best_val:
-            best_val, best_lam = val, lam
-        gn2 = float(g @ g)
-        if gn2 < _FLAT_GRADIENT**2:
-            break
-        step = (val - best_val + 1e-3 / it) / gn2
-        lam = project_simplex(lam - step * g)
-
-    # polish: exact line searches from the current point toward hull
-    # vertices (a Frank-Wolfe sweep); convexity makes each segment
-    # restriction unimodal, so a vertex minimizer is reached exactly.
-    lam = best_lam
-    u_before = P.T @ best_lam
-    converged = False
-    for _ in range(polish_rounds):
-        val, gu = u_gradient(P.T @ lam)
-        scores = P @ gu
-        targets = np.argsort(scores, kind="stable")[:3]
-        improved = False
-        for v in targets:
-            u = P.T @ lam
-            seg = P[v] - u
-
-            def along(gamma: float) -> float:
-                return composite(u + gamma * seg)
-
-            gamma, f_gamma = _golden_section(along, 0.0, 1.0)
-            if f_gamma < val - 1e-16 * (1.0 + abs(val)):
-                lam = (1.0 - gamma) * lam + gamma * _unit(K, v)
-                val = f_gamma
-                improved = True
-        if not improved:
-            converged = True
-            break
-
-    u_bar = P.T @ lam
+        lam, _, pivots, converged = _lp_minimize((P - u_bar).T[None], block, 0, iterations)
+        t_star = 0.0
+    else:
+        R = np.stack([m.Phi @ P.T + (m.b - problem.anchor)[:, None] for m in problem.maps])
+        _, t_star, first, exact = _lp_minimize(R, block, len(R), iterations)
+        cap = t_star + TIE_BREAK_SLACK * max(1.0, t_star)
+        R = np.concatenate([R, (P - problem.anchor).T[None]])
+        lam, _, second, converged = _lp_minimize(R, block, len(R) - 1, iterations - first, cap)
+        u_bar, pivots, converged = P.T @ lam, first + second, exact and converged
     return FavardResult(
         u_bar=u_bar,
         value=problem.objective(u_bar),
         weights=lam,
-        iterations=it,
+        iterations=pivots,
         converged=converged,
-        tie_break_shift=float(sys.state_norm(u_bar - u_before)),
+        lower_bound=t_star,
         hull_dimension=dim,
-        method="simplex_subgradient",
+        method=method,
     )
-
-
-def _unit(K: int, j: int) -> np.ndarray:
-    e = np.zeros(K)
-    e[j] = 1.0
-    return e
-
-
-def _hull_weights(P: np.ndarray, u: np.ndarray, iters: int = 2_000) -> np.ndarray:
-    """Simplex weights reproducing ``u`` as a hull combination (least squares).
-
-    Pairwise steps between the steepest-descent vertex and the worst
-    supported vertex, with exact step lengths; linear convergence on this
-    quadratic, including boundary (vertex) solutions.
-    """
-    K = P.shape[0]
-    lam = np.full(K, 1.0 / K)
-    for _ in range(iters):
-        r = P.T @ lam - u
-        if float(r @ r) < 1e-30:
-            break
-        g = P @ r
-        v = int(np.argmin(g))
-        support = np.flatnonzero(lam > 1e-15)
-        a = int(support[np.argmax(g[support])])
-        if a == v:
-            break
-        d = P[v] - P[a]
-        denom = float(d @ d)
-        if denom < 1e-300:
-            break
-        gamma = min(max(-float(r @ d) / denom, 0.0), float(lam[a]))
-        if gamma <= 0.0:
-            break
-        lam[v] += gamma
-        lam[a] -= gamma
-    return lam
 
 
 def grid_oracle(problem: FavardProblem, resolution: int = 201) -> tuple[np.ndarray, float]:
     """Brute-force minimizer over a grid of the hull, for hull dimension <= 2.
 
-    Independent of the subgradient path: parametrizes the affine span of
+    Independent of the LP solver: parametrizes the affine span of
     the hull points, grids it, discards points outside the hull, and takes
     the best objective value.  Used as a cross-check oracle in tests.
     """

@@ -1,16 +1,20 @@
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
 
+import favard.scenarios
 from favard import (
+    EXIT_ERROR,
     ConfigError,
     Scenario,
     build_system,
     bundled_scenarios,
     resolve_seed,
     run_scenario,
+    solve_minmax,
 )
 
 
@@ -103,6 +107,7 @@ class TestRunScenario:
         assert doc["fixed_point"]["verdict"] == "certified"
         assert doc["u_bar"][0] == pytest.approx(1.0, abs=1e-6)
         assert doc["provenance"]["scenario_digest"] == rec.scenario.digest()
+        assert doc["provenance"]["optimizer"]["lower_bound"] <= doc["objective_value"]
         summary = (rec.run_dir / "summary.txt").read_text()
         assert "verdict: certified" in summary
 
@@ -129,6 +134,22 @@ class TestRunScenario:
         assert first.run_dir.name == "run-001"
         assert second.run_dir.name == "run-002"
         assert first.run_dir.parent == second.run_dir.parent
+
+    def test_run_index_follows_the_highest(self, tmp_path):
+        scenario = bundled_scenarios()["equilibrium"]
+        group = tmp_path / f"{scenario.name}-{scenario.digest()}"
+        for name in ("run-001", "run-005", "notes"):
+            (group / name).mkdir(parents=True)
+        assert favard.scenarios._allocate_run_dir(tmp_path, scenario).name == "run-006"
+
+    def test_solver_pivot_cap_is_an_error_verdict(self, tmp_path, monkeypatch):
+        capped = functools.partial(solve_minmax, iterations=1)
+        monkeypatch.setattr(favard.scenarios, "solve_minmax", capped)
+        rec = run_scenario(bundled_scenarios()["telescoping-discrete"], tmp_path, quiet=True)
+        assert rec.verdict == "error"
+        assert rec.exit_code == EXIT_ERROR
+        assert "SolverError" in rec.message
+        assert (rec.run_dir / "favard.json").exists()
 
     def test_payloads_deterministic_across_runs(self, tmp_path):
         scenario = bundled_scenarios()["telescoping-discrete"]

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from favard import (
+    AffineMapSample,
     CocycleSystem,
     FavardProblem,
     QuasiPeriodicSpec,
+    SolverError,
     UncertifiedError,
     comparability_from_fixed_point,
     compose_returns,
@@ -18,6 +20,7 @@ from favard import (
     solve_minmax,
     verify_fixed_point,
 )
+from favard.solver import TIE_BREAK_SLACK
 
 SQRT2 = math.sqrt(2.0)
 
@@ -33,6 +36,37 @@ def telescoping_system():
         "dimension": 1,
     }
     return CocycleSystem(QuasiPeriodicSpec.from_dict(doc), np.zeros(1))
+
+
+def discrete_system(dimension: int, delay_order: int = 0):
+    """Contracting constant recursion; only its state norm matters below."""
+    n, cols = dimension, dimension * (delay_order + 1)
+    A = np.zeros((n, cols))
+    A[:, :n] = 0.5 * np.eye(n)
+    doc = {
+        "frequencies": [1.0],
+        "matrix_terms": [{"k": [0], "cos": A.tolist(), "sin": np.zeros_like(A).tolist()}],
+        "forcing_terms": [{"k": [0], "cos": [0.0] * n, "sin": [0.0] * n}],
+        "time_domain": "discrete",
+        "dimension": n,
+        "delay_order": delay_order,
+    }
+    return CocycleSystem(QuasiPeriodicSpec.from_dict(doc), np.zeros(1))
+
+
+def random_problem(sys, rng, K: int, M: int, phi_scale: float = 1.0) -> FavardProblem:
+    """K hull points and M affine maps with Gaussian entries in the state space."""
+    N = sys.state_dim
+    maps = tuple(
+        AffineMapSample(
+            tau=float(k + 1), Phi=phi_scale * rng.normal(size=(N, N)),
+            b=rng.normal(size=N), delta=0.0,
+        )
+        for k in range(M)
+    )
+    return FavardProblem(
+        system=sys, anchor=rng.normal(size=N), maps=maps, hull_points=rng.normal(size=(K, N))
+    )
 
 
 def two_freq_system():
@@ -172,6 +206,39 @@ class TestSolveMinmax:
         assert np.all(res.weights >= -1e-15)
         assert np.sum(res.weights) == pytest.approx(1.0, abs=1e-9)
 
+    def test_pivot_cap_raises(self):
+        sys = telescoping_system()
+        rets = find_near_returns(sys, 0.05, 1000.0)
+        prob = FavardProblem.from_returns(sys, [1.0], rets)
+        with pytest.raises(SolverError):
+            solve_minmax(prob, iterations=1)
+
+    @pytest.mark.parametrize("anchor", [-3.0, 0.4, 5.0])
+    def test_flat_objective_takes_hull_point_nearest_anchor(self, anchor):
+        # with every Phi_k = 0 the objective is the same at every hull point,
+        # so the tie-break alone decides: the anchor clipped to the hull
+        rng = np.random.default_rng(7)
+        hull = rng.uniform(-1.0, 2.0, size=(5, 1))
+        maps = tuple(
+            AffineMapSample(tau=float(k + 1), Phi=np.zeros((1, 1)), b=rng.normal(size=1), delta=0.0)
+            for k in range(4)
+        )
+        prob = FavardProblem(
+            system=telescoping_system(), anchor=np.array([anchor]), maps=maps, hull_points=hull
+        )
+        res = solve_minmax(prob)
+        assert abs(res.u_bar[0] - np.clip(anchor, hull.min(), hull.max())) <= 1e-12
+
+    def test_euclidean_blocks_match_grid_oracle(self):
+        # n = 2 takes the cutting-plane path; a 2-d hull lets the grid check it
+        prob = random_problem(discrete_system(2), np.random.default_rng(3), K=3, M=5, phi_scale=0.5)
+        res = solve_minmax(prob)
+        _, v_grid = grid_oracle(prob, resolution=801)
+        assert res.hull_dimension == 2
+        assert res.converged
+        assert res.lower_bound <= v_grid + 1e-12
+        assert v_grid - 1e-3 <= res.value <= v_grid + TIE_BREAK_SLACK * max(1.0, v_grid)
+
     def test_single_return_degenerate_hull(self):
         sys = telescoping_system()
         rets = find_near_returns(sys, 0.02, 100.0)
@@ -181,6 +248,27 @@ class TestSolveMinmax:
         assert res.hull_dimension == 0
         # sole hull point: u0 + cos(44) - 1
         assert res.u_bar[0] == pytest.approx(1.0 + math.cos(44.0) - 1.0, abs=1e-12)
+
+
+class TestMinmaxProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(0, 2), st.integers(1, 5), st.integers(1, 8)
+    )
+    def test_scalar_blocks_reach_the_lp_optimum(self, seed, delay_order, K, M):
+        rng = np.random.default_rng(seed)
+        prob = random_problem(discrete_system(1, delay_order), rng, K, M)
+        res = solve_minmax(prob)
+        # the stage-1 value bounds the objective at every hull point, and
+        # stage 2 spends at most its slack on the tie-break, up to roundoff
+        vals = prob.objective_batch(rng.dirichlet(np.ones(K), size=100) @ prob.hull_points)
+        assert res.lower_bound <= vals.min() + 1e-12 * max(1.0, vals.min())
+        slack = (TIE_BREAK_SLACK + 1e-10) * max(1.0, res.lower_bound)
+        assert res.value <= res.lower_bound + slack
+        if res.hull_dimension <= 2:
+            _, v_grid = grid_oracle(prob, resolution=201)
+            assert res.lower_bound <= v_grid + 1e-12 * max(1.0, v_grid)
+            assert res.value <= v_grid + slack
 
 
 class TestFixedPointCertificate:
