@@ -14,7 +14,6 @@ from .cocycle import (
     CocycleSystem,
     DelayState,
     FundamentalMatrix,
-    affine_map_sample,
     affine_map_samples,
     affine_path,
     estimate_bound_constant,
@@ -70,7 +69,6 @@ from .solver import (
     default_certificate_tolerance,
     find_near_returns,
     grid_oracle,
-    project_simplex,
     solve_minmax,
     verify_fixed_point,
 )

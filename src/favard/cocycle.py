@@ -14,7 +14,6 @@ cost a few batched matmul sweeps instead of a Python loop per step.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,7 +23,9 @@ from .signals import vector_norm
 from .torus import QuasiPeriodicSpec, reduce_phase
 
 _CHUNK = 200_000
-_DEFAULT_BLOWUP_FACTOR = 1e8
+#: A state whose norm exceeds this factor times ``1 + |start|`` has left the
+#: bounded regime.
+BLOWUP_FACTOR = 1e8
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,31 @@ class CocycleSystem:
     @property
     def continuous(self) -> bool:
         return self.spec.time_domain == "continuous"
+
+    @property
+    def step(self) -> float:
+        """March step: the integrator step ``h``, or 1 in discrete time."""
+        return self.h if self.continuous else 1.0
+
+    def steps(self, t):
+        """Whole march steps in the nonnegative time(s) ``t``.
+
+        The only conversion of a time to a step count: the ``1e-9`` slack
+        keeps a grid time that roundoff put just below its step on it.
+        """
+        return np.floor(np.asarray(t, dtype=float) / self.step + 1e-9).astype(int)
+
+    def stride(self, scan_step: float | None = None) -> int:
+        """Whole march steps in ``scan_step`` (default 0.01, or 1 in discrete
+        time), rounded and at least one."""
+        if scan_step is None:
+            scan_step = 0.01 if self.continuous else 1.0
+        return max(1, round(scan_step / self.step))
+
+    def shift_grid(self, span: float, scan_step: float | None = None) -> np.ndarray:
+        """Step counts of the shifts ``s, 2s, ...`` in ``(0, span]``, ``s`` one stride."""
+        stride = self.stride(scan_step)
+        return stride * np.arange(1, int(self.steps(span)) // stride + 1)
 
     @property
     def state_dim(self) -> int:
@@ -78,6 +104,7 @@ class AffineMapSample:
     b: np.ndarray
     delta: float
     composition_defect: float = 0.0
+    composed: bool = False  # a pairwise-sum shift, not a base return
 
 
 @dataclass(frozen=True)
@@ -166,94 +193,78 @@ def _chain(S: np.ndarray) -> np.ndarray:
     return S[0]
 
 
-def _build_propagators(sys: CocycleSystem, start: int, count: int, h: float) -> np.ndarray:
+def _build_propagators(sys: CocycleSystem, start: int, count: int) -> np.ndarray:
     if sys.continuous:
-        return _continuous_propagators(sys, start * h, count, h)
+        return _continuous_propagators(sys, start * sys.h, count, sys.h)
     return _discrete_propagators(sys, start, count)
+
+
+def _split(sys: CocycleSystem, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whole march steps and the leftover time (zero on the grid) of each time."""
+    n_full = sys.steps(times)
+    rem = times - n_full * sys.step
+    rem[np.abs(rem) < sys.step * 1e-9] = 0.0
+    if not sys.continuous and np.any(rem):
+        raise ValueError("discrete-time shifts must be integers")
+    return n_full, rem
 
 
 def affine_path(sys: CocycleSystem, taus) -> tuple[np.ndarray, np.ndarray]:
     """Propagator pairs (U(tau), b(tau)) for a batch of nonnegative shifts.
 
-    One chunked forward march serves every requested shift; continuous-time
-    shifts that are not grid multiples get a single trailing partial RK4 step.
-    Returns arrays of shape (K, n, n) and (K, n) in the order of ``taus``.
+    One chunked forward march visits each distinct step count once, in
+    increasing order; continuous-time shifts that are not grid multiples
+    get a single trailing partial RK4 step.  Returns arrays of shape
+    (K, n, n) and (K, n) in the order of ``taus``.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     if np.any(taus < 0):
         raise ValueError("affine_path takes nonnegative shifts")
-    h = sys.h if sys.continuous else 1.0
-    if not sys.continuous and np.any(np.abs(taus - np.round(taus)) > 1e-9):
-        raise ValueError("discrete-time shifts must be integers")
-
-    # full-step counts and remainders per shift
-    n_full = np.floor(taus / h + 1e-9).astype(int)
-    rem = taus - n_full * h
-    rem[np.abs(rem) < h * 1e-9] = 0.0
-
-    order = np.argsort(taus, kind="stable")
+    n_full, rem = _split(sys, taus)
+    targets, where = np.unique(n_full, return_inverse=True)
     d = sys.state_dim + 1
-    out = np.empty((taus.size, d, d))
+    at = np.empty((targets.size, d, d))
 
     M = np.eye(d)
-    pos = 0
-    queue = list(order)
-    max_steps = int(n_full.max()) if taus.size else 0
-    while queue and n_full[queue[0]] == 0:
-        k = queue.pop(0)
-        out[k] = _partial(sys, M, 0, rem[k], h)
-    while pos < max_steps:
-        count = min(_CHUNK, max_steps - pos)
-        S = _build_propagators(sys, pos, count, h)
+    done = int(np.searchsorted(targets, 0, side="right"))
+    at[:done] = M
+    last = int(targets[-1]) if targets.size else 0
+    for pos in range(0, last, _CHUNK):
+        count = min(_CHUNK, last - pos)
+        S = _build_propagators(sys, pos, count)
         local = 0
-        while queue and n_full[queue[0]] <= pos + count:
-            k = queue.pop(0)
-            target = n_full[k] - pos
-            if target > local:
-                M = _chain(S[local:target]) @ M
-                local = target
-            out[k] = _partial(sys, M, n_full[k], rem[k], h)
+        stop = int(np.searchsorted(targets, pos + count, side="right"))
+        for j in range(done, stop):
+            target = int(targets[j]) - pos
+            M = _chain(S[local:target]) @ M
+            local = target
+            at[j] = M
+        done = stop
         if local < count:
             M = _chain(S[local:]) @ M
-        pos += count
+
+    out = at[where]
+    for k in np.flatnonzero(rem):
+        out[k] = _continuous_propagators(sys, n_full[k] * sys.h, 1, rem[k])[0] @ out[k]
     n = sys.state_dim
     return out[:, :n, :n], out[:, :n, n]
-
-
-def _partial(sys: CocycleSystem, M: np.ndarray, steps_done: int, rem: float, h: float) -> np.ndarray:
-    if rem == 0.0:
-        return M
-    P = _continuous_propagators(sys, steps_done * h, 1, rem)[0]
-    return P @ M
 
 
 def _negative_path(sys: CocycleSystem, t: float) -> tuple[np.ndarray, np.ndarray]:
     """(U(t), b(t)) for t < 0; continuous by backward RK4, discrete by step inverses."""
     n = sys.state_dim
+    steps, rem = _split(sys, np.array([-t]))
+    n_full, rem = int(steps[0]), -float(rem[0])
     if sys.continuous:
-        h = -sys.h
-        n_full = int(math.floor(t / h + 1e-9))
-        rem = t - n_full * h
-        if abs(rem) < sys.h * 1e-9:
-            rem = 0.0
-        S = _continuous_propagators(sys, 0.0, n_full, h)
-        M = _chain(S)
+        M = _chain(_continuous_propagators(sys, 0.0, n_full, -sys.h))
         if rem != 0.0:
-            M = _continuous_propagators(sys, n_full * h, 1, rem)[0] @ M
+            M = _continuous_propagators(sys, n_full * -sys.h, 1, rem)[0] @ M
         return M[:n, :n], M[:n, n]
-    k = int(round(-t))
-    S = _discrete_propagators(sys, -k, k)  # steps -k .. -1
-    M = np.eye(n + 1)
-    for j in range(k - 1, -1, -1):
-        step = S[j]
-        A = step[:n, :n]
-        if abs(np.linalg.det(A)) < 1e-300:
-            raise SingularStepError(f"step matrix at time {j - k} is singular")
-        inv = np.eye(n + 1)
-        Ainv = np.linalg.inv(A)
-        inv[:n, :n] = Ainv
-        inv[:n, n] = -Ainv @ step[:n, n]
-        M = inv @ M
+    S = _discrete_propagators(sys, -n_full, n_full)  # steps -n_full .. -1
+    singular = np.flatnonzero(np.abs(np.linalg.det(S[:, :n, :n])) < 1e-300)
+    if singular.size:
+        raise SingularStepError(f"step matrix at time {singular[-1] - n_full} is singular")
+    M = _chain(np.linalg.inv(S)[::-1])
     return M[:n, :n], M[:n, n]
 
 
@@ -298,17 +309,8 @@ def evaluate_affine(sys: CocycleSystem, u, t: float) -> np.ndarray:
     return x
 
 
-def affine_map_sample(sys: CocycleSystem, tau: float) -> AffineMapSample:
-    """Package (U(tau), forced response, base-return quality) for one shift."""
-    if tau < 0:
-        raise ValueError("return shifts must be nonnegative")
-    Phi, b = affine_path(sys, [float(tau)])
-    delta = float(sys.spec.base_return_quality(float(tau)))
-    return AffineMapSample(tau=float(tau), Phi=Phi[0], b=b[0], delta=delta)
-
-
 def affine_map_samples(sys: CocycleSystem, taus) -> list[AffineMapSample]:
-    """Batch version of :func:`affine_map_sample`, one march for all shifts."""
+    """Return maps with their base-return quality at a batch of shifts, one march for all."""
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     Phi, b = affine_path(sys, taus)
     deltas = np.atleast_1d(sys.spec.base_return_quality(taus))
@@ -326,39 +328,33 @@ def verify_cocycle_identity(sys: CocycleSystem, u, t: float, s: float) -> float:
     return float(sys.state_norm(direct - two_leg))
 
 
+def check_bounded(peak: float, start_norm: float, what: str, t: float | None = None) -> None:
+    """Raise :class:`BlowUpError` unless ``peak`` is finite and at most
+    ``BLOWUP_FACTOR * (1 + start_norm)``: the one bounded-orbit test."""
+    if not np.isfinite(peak) or peak > BLOWUP_FACTOR * (1.0 + start_norm):
+        raise BlowUpError(f"{what} left the bounded regime (peak {peak:.3g})", t=t)
+
+
 def estimate_bound_constant(
     sys: CocycleSystem,
     u_samples,
     horizon: float,
     num_grid: int = 1000,
-    blowup_factor: float = _DEFAULT_BLOWUP_FACTOR,
 ) -> float:
     """Empirical bound L with |U(t) u| <= L |u| on a grid of [0, horizon].
 
     Raises :class:`BlowUpError` when a sampled trajectory leaves the bounded
     regime, i.e. the sample does not witness a bounded orbit.
     """
-    if sys.continuous:
-        step = max(sys.h, horizon / num_grid)
-        step = round(step / sys.h) * sys.h
-        taus = np.arange(0.0, horizon + step / 2, step)
-    else:
-        stride = max(1, int(horizon // num_grid))
-        taus = np.arange(0, int(horizon) + 1, stride, dtype=float)
-    Phi, _ = affine_path(sys, taus)
+    grid = sys.shift_grid(horizon, max(sys.step, horizon / num_grid))
+    Phi, _ = affine_path(sys, np.concatenate([[0], grid]) * sys.step)
     L = 0.0
     for u in u_samples:
         u = _as_state(sys, u)
         nu = float(sys.state_norm(u))
         if nu == 0.0:
             raise ValueError("bound estimation needs nonzero states")
-        vals = Phi @ u
-        norms = sys.state_norm(vals)
-        peak = float(np.max(norms))
-        if not np.isfinite(peak) or peak > blowup_factor * (1.0 + nu):
-            raise BlowUpError(
-                f"homogeneous trajectory from |u|={nu:.3g} exceeded the bounded-orbit "
-                f"threshold (peak {peak:.3g})"
-            )
+        peak = float(np.max(sys.state_norm(Phi @ u)))
+        check_bounded(peak, nu, f"homogeneous trajectory from |u|={nu:.3g}")
         L = max(L, peak / nu)
     return L

@@ -14,13 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import CocycleSystem, _as_state, affine_path, evaluate_affine
-from .errors import BlowUpError
+from .cocycle import CocycleSystem, _as_state, affine_path, check_bounded, evaluate_affine
 
 #: Geometric candidate grid pi, pi/2, ..., pi/2**20 for the modulus search.
 DEFAULT_DELTA_GRID = tuple(math.pi * 0.5**k for k in range(21))
-
-_BLOWUP_FACTOR = 1e8
 
 
 @dataclass(frozen=True)
@@ -49,16 +46,6 @@ class ComparabilityReport:
         return buf.getvalue()
 
 
-def _scan_shifts(sys: CocycleSystem, span: float, scan_step: float | None) -> np.ndarray:
-    if sys.continuous:
-        step = 0.01 if scan_step is None else scan_step
-        step = max(1, round(step / sys.h)) * sys.h
-        count = int(math.floor(span / step + 1e-9))
-        return step * np.arange(1, count + 1)
-    stride = 1 if scan_step is None else max(1, int(round(scan_step)))
-    return np.arange(1, int(span) + 1, stride, dtype=float)
-
-
 def estimate_modulus(
     sys: CocycleSystem,
     u,
@@ -81,17 +68,12 @@ def estimate_modulus(
     if min_tau > 0:
         u = evaluate_affine(sys, u, float(min_tau))
         sys = sys.shifted(float(min_tau))
-    taus = _scan_shifts(sys, horizon - min_tau, scan_step)
+    taus = sys.shift_grid(horizon - min_tau, scan_step) * sys.step
     if taus.size == 0:
         raise ValueError("horizon leaves no shifts to scan")
     Phi, b = affine_path(sys, taus)
     states = Phi @ u + b
-    peak = float(np.max(sys.state_norm(states)))
-    nu = float(sys.state_norm(u))
-    if not np.isfinite(peak) or peak > _BLOWUP_FACTOR * (1.0 + nu):
-        raise BlowUpError(
-            f"trajectory exceeded the bounded-orbit threshold (peak {peak:.3g})"
-        )
+    check_bounded(float(np.max(sys.state_norm(states))), float(sys.state_norm(u)), "trajectory")
     deviations = sys.state_norm(states - u)
     qualities = sys.spec.base_return_quality(taus)
 

@@ -20,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as _pkg_version
-from .cocycle import CocycleSystem, evaluate_affine
+from .cocycle import CocycleSystem, check_bounded, evaluate_affine
 from .comparability import DEFAULT_DELTA_GRID, estimate_modulus
-from .errors import BlowUpError, ConfigError, FavardError
+from .errors import ConfigError, FavardError
 from .signals import sample_forcing, scan_almost_periods
 from .solver import (
     FavardProblem,
@@ -59,8 +59,6 @@ _SEED_FIELDS_LONG_RUN = {"long_run"}
 _LONG_RUN_FIELDS = {"start", "burn_in"}
 _AP_FIELDS = {"epsilon", "window_halfwidth", "scan_range", "scan_step", "sample_dt"}
 
-_BLOWUP_FACTOR = 1e8
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -92,6 +90,14 @@ class Scenario:
         for req in ("name", "system", "base_phase", "seed", "delta_cap", "horizon", "epsilons"):
             if req not in doc:
                 raise ConfigError(req, "required field is missing")
+        try:
+            system = dict(doc["system"])
+            spec = _spec_from_doc(system)  # validate eagerly
+        except (KeyError, ValueError) as exc:
+            raise ConfigError("system", str(exc)) from exc
+        base_phase = _numbers("base_phase", doc["base_phase"])
+        if len(base_phase) != spec.num_frequencies:
+            raise ConfigError("base_phase", f"needs {spec.num_frequencies} entries, one per frequency")
         seed = doc["seed"]
         if not isinstance(seed, dict) or set(seed) not in (
             _SEED_FIELDS_STATE,
@@ -102,17 +108,29 @@ class Scenario:
             lr = seed["long_run"]
             if not isinstance(lr, dict) or set(lr) != _LONG_RUN_FIELDS:
                 raise ConfigError("seed.long_run", "must contain 'start' and 'burn_in'")
-            if float(lr["burn_in"]) <= 0:
+            if _number("seed.long_run.burn_in", lr["burn_in"]) <= 0:
                 raise ConfigError("seed.long_run.burn_in", "must be positive")
+            state_field, state = "seed.long_run.start", lr["start"]
+        else:
+            state_field, state = "seed.state", seed["state"]
+        if len(_numbers(state_field, state)) != spec.stacked_dimension:
+            raise ConfigError(
+                state_field, f"needs {spec.stacked_dimension} entries, the stacked state dimension"
+            )
         ap = doc.get("almost_periods")
         if ap is not None:
             if not isinstance(ap, dict) or set(ap) - _AP_FIELDS:
                 raise ConfigError("almost_periods", f"fields must be among {sorted(_AP_FIELDS)}")
-        if float(doc["delta_cap"]) <= 0:
+            for key, value in ap.items():
+                _numbers(f"almost_periods.{key}", value if key == "scan_range" else [value])
+        if _number("delta_cap", doc["delta_cap"]) <= 0:
             raise ConfigError("delta_cap", "must be positive")
-        if float(doc["horizon"]) <= 0:
+        if _number("horizon", doc["horizon"]) <= 0:
             raise ConfigError("horizon", "must be positive")
-        eps = tuple(float(e) for e in doc["epsilons"])
+        h = _number("h", doc.get("h", 1e-3))
+        if h <= 0:
+            raise ConfigError("h", "must be positive")
+        eps = _numbers("epsilons", doc["epsilons"])
         if not eps or any(e <= 0 for e in eps):
             raise ConfigError("epsilons", "must be a nonempty list of positive numbers")
         depth = int(doc.get("composition_depth", 1))
@@ -120,33 +138,28 @@ class Scenario:
             raise ConfigError("composition_depth", "must be 0 or 1")
         grid = doc.get("delta_grid")
         if grid is not None:
-            grid = tuple(float(g) for g in grid)
+            grid = _numbers("delta_grid", grid)
             if not grid or any(g <= 0 for g in grid):
                 raise ConfigError("delta_grid", "must be a nonempty list of positive numbers")
-        try:
-            system = dict(doc["system"])
-            _spec_from_doc(system)  # validate eagerly
-        except (KeyError, ValueError) as exc:
-            raise ConfigError("system", str(exc)) from exc
         return cls(
             name=str(doc["name"]),
             description=str(doc.get("description", "")),
             system=system,
-            base_phase=tuple(float(x) for x in doc["base_phase"]),
+            base_phase=base_phase,
             seed=seed,
             delta_cap=float(doc["delta_cap"]),
             horizon=float(doc["horizon"]),
             epsilons=eps,
-            h=float(doc.get("h", 1e-3)),
-            scan_step=None if doc.get("scan_step") is None else float(doc["scan_step"]),
+            h=h,
+            scan_step=None if doc.get("scan_step") is None else _number("scan_step", doc["scan_step"]),
             composition_depth=depth,
             delta_grid=grid,
             comparability_horizon=(
                 None
                 if doc.get("comparability_horizon") is None
-                else float(doc["comparability_horizon"])
+                else _number("comparability_horizon", doc["comparability_horizon"])
             ),
-            min_tau=float(doc.get("min_tau", 0.0)),
+            min_tau=_number("min_tau", doc.get("min_tau", 0.0)),
             almost_periods=ap,
         )
 
@@ -177,6 +190,23 @@ class Scenario:
     def digest(self) -> str:
         payload = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha1(payload).hexdigest()[:8]
+
+
+def _number(field: str, value) -> float:
+    """``value`` as a finite float, else a :class:`ConfigError` naming ``field``."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(field, "must be a number") from None
+    if not math.isfinite(x):
+        raise ConfigError(field, "must be finite")
+    return x
+
+
+def _numbers(field: str, values) -> tuple:
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(field, "must be a list of numbers")
+    return tuple(_number(field, v) for v in values)
 
 
 def _spec_from_doc(doc: dict):
@@ -226,11 +256,7 @@ def resolve_seed(sys: CocycleSystem, scenario: Scenario) -> tuple[CocycleSystem,
     if not sys.continuous:
         burn = float(round(burn))
     u = evaluate_affine(sys, start, burn)
-    peak = float(sys.state_norm(u))
-    if peak > _BLOWUP_FACTOR * (1.0 + float(sys.state_norm(start))):
-        raise BlowUpError(
-            f"burn-in state left the bounded regime (|u| = {peak:.3g})", t=burn
-        )
+    check_bounded(float(sys.state_norm(u)), float(sys.state_norm(start)), "burn-in state", t=burn)
     return sys.shifted(burn), u
 
 
@@ -305,9 +331,7 @@ def run_scenario(
         _write(run_dir / "returns.csv", returns.to_csv())
         lines.append(f"near_returns: {len(returns)} (delta_cap {scenario.delta_cap!r})")
         if len(returns) == 0:
-            _write(run_dir / "favard.json", json.dumps({}, sort_keys=True))
-            _write(run_dir / "comparability.csv", "epsilon,delta,horizon,count\n")
-            _write(run_dir / "almost_periods.csv", "tau,window_L,epsilon\n")
+            empty_artifacts()
             return finish(
                 RunRecord(
                     scenario=scenario,

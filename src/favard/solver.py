@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,24 +34,33 @@ _HULL_RANK_TOL = 1e-10
 
 @dataclass(frozen=True)
 class NearReturnSet:
-    """Shifts whose base-phase return quality stays below ``delta_cap``."""
+    """Shifts whose base-phase return quality stays below ``delta_cap``.
 
-    taus: np.ndarray
+    Each shift is a whole number ``steps`` of march steps of length ``step``.
+    """
+
+    steps: np.ndarray
     deltas: np.ndarray
+    step: float
     delta_cap: float
     horizon: float
     scan_step: float
 
     def __post_init__(self):
-        taus = np.atleast_1d(np.asarray(self.taus, dtype=float))
+        steps = np.atleast_1d(np.asarray(self.steps, dtype=int))
         deltas = np.atleast_1d(np.asarray(self.deltas, dtype=float))
-        if taus.shape != deltas.shape:
-            raise ValueError("taus and deltas must align")
-        object.__setattr__(self, "taus", taus)
+        if steps.shape != deltas.shape:
+            raise ValueError("steps and deltas must align")
+        object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "deltas", deltas)
 
+    @property
+    def taus(self) -> np.ndarray:
+        """The shifts as times."""
+        return self.steps * self.step
+
     def __len__(self) -> int:
-        return int(self.taus.size)
+        return int(self.steps.size)
 
     def best(self) -> tuple[float, float]:
         """(tau, delta) of the highest-quality return."""
@@ -77,66 +86,57 @@ def find_near_returns(
     """Scan shifts in (0, horizon] and keep those returning the base phase.
 
     Purely arithmetic (no integration); an empty result is a valid report,
-    not an error.  Continuous scan steps are snapped to multiples of the
-    integrator step so the resulting shifts land on the march grid.
+    not an error.  The scan step is snapped to a whole number of march
+    steps (:meth:`CocycleSystem.shift_grid`), so every shift lands on the
+    march grid.
     """
     if delta_cap <= 0:
         raise ValueError("delta_cap must be positive")
-    if sys.continuous:
-        step = 0.01 if scan_step is None else scan_step
-        step = max(1, round(step / sys.h)) * sys.h
-        count = int(math.floor(horizon / step + 1e-9))
-        taus = step * np.arange(1, count + 1)
-    else:
-        step = 1.0 if scan_step is None else max(1.0, round(scan_step))
-        taus = np.arange(step, math.floor(horizon) + 1, step, dtype=float)
-    qualities = sys.spec.base_return_quality(taus)
+    steps = sys.shift_grid(horizon, scan_step)
+    qualities = sys.spec.base_return_quality(steps * sys.step)
     mask = qualities < delta_cap
     return NearReturnSet(
-        taus=taus[mask],
+        steps=steps[mask],
         deltas=qualities[mask],
+        step=sys.step,
         delta_cap=float(delta_cap),
         horizon=float(horizon),
-        scan_step=float(step),
+        scan_step=float(sys.stride(scan_step) * sys.step),
     )
+
+
+#: Only this many best base returns feed the pairwise sums of
+#: :func:`compose_returns`, keeping the map count quadratic-safe.
+_SUMMANDS = 12
 
 
 def compose_returns(
     sys: CocycleSystem,
     returns: NearReturnSet,
     depth: int = 1,
-    max_base: int = 12,
 ) -> list[AffineMapSample]:
     """Affine maps at the return shifts, plus pairwise-sum shifts at depth 1.
 
-    Sums tau_i + tau_j stand in for semigroup compositions; each carries a
-    ``composition_defect``, the discrepancy between the map evaluated
-    directly at the sum and the naive composition of the two summand maps
-    anchored at the original base point.  Only the ``max_base`` best
-    returns feed the sums, keeping the map count quadratic-safe.
+    Sums tau_i + tau_j stand in for semigroup compositions; each is marked
+    ``composed`` and carries a ``composition_defect``, the discrepancy
+    between the map evaluated directly at the sum and the naive composition
+    of the two summand maps anchored at the original base point.  Only the
+    ``_SUMMANDS`` best returns feed the sums.
     """
     if depth not in (0, 1):
         raise ValueError("composition depth must be 0 or 1")
     base = affine_map_samples(sys, returns.taus) if len(returns) else []
     if depth == 0 or len(base) == 0:
         return base
-    order = np.argsort(returns.deltas, kind="stable")[:max_base]
-    picks = [base[i] for i in order]
-    sums = sorted(
-        {
-            round(a.tau + b.tau, 12)
-            for a in picks
-            for b in picks
-            if a.tau <= b.tau
-        }
-    )
-    direct = affine_map_samples(sys, np.array(sums))
-    by_tau = {round(s.tau, 12): s for s in picks}
+    picks = np.argsort(returns.deltas, kind="stable")[:_SUMMANDS]
+    by_steps = {int(returns.steps[i]): base[i] for i in picks}
+    sums = sorted({a + b for a in by_steps for b in by_steps if a <= b})
+    direct = affine_map_samples(sys, np.array(sums) * returns.step)
     out = list(base)
-    for s in direct:
+    for total, s in zip(sums, direct):
         defect = math.inf
-        for a in picks:
-            partner = by_tau.get(round(s.tau - a.tau, 12))
+        for first, a in by_steps.items():
+            partner = by_steps.get(total - first)
             if partner is None:
                 continue
             Phi_c = partner.Phi @ a.Phi
@@ -145,12 +145,7 @@ def compose_returns(
                 np.linalg.norm(s.Phi - Phi_c) + sys.state_norm(s.b - b_c)
             )
             defect = min(defect, d)
-        out.append(
-            AffineMapSample(
-                tau=s.tau, Phi=s.Phi, b=s.b, delta=s.delta,
-                composition_defect=defect,
-            )
-        )
+        out.append(replace(s, composition_defect=defect, composed=True))
     return out
 
 
@@ -174,14 +169,12 @@ class FavardProblem:
         anchor,
         returns: NearReturnSet,
         depth: int = 1,
-        max_base: int = 12,
     ) -> "FavardProblem":
         anchor = _as_state(sys, anchor)
-        maps = compose_returns(sys, returns, depth=depth, max_base=max_base)
+        maps = compose_returns(sys, returns, depth=depth)
         if not maps:
             raise ValueError("cannot build a problem without near returns")
-        base_count = len(returns)
-        hull = np.stack([m.Phi @ anchor + m.b for m in maps[:base_count]])
+        hull = np.stack([m.Phi @ anchor + m.b for m in maps if not m.composed])
         return cls(system=sys, anchor=anchor, maps=tuple(maps), hull_points=hull)
 
     def objective(self, u: np.ndarray) -> float:
@@ -220,15 +213,6 @@ class FavardResult:
     lower_bound: float
     hull_dimension: int
     method: str = "two_stage_lp"
-
-
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u * np.arange(1, v.size + 1) > css)[0][-1]
-    return np.maximum(v - css[rho] / (rho + 1.0), 0.0)
 
 
 #: Stage 2 may raise the stage-1 optimum ``t*`` by this factor of
@@ -519,7 +503,7 @@ def verify_fixed_point(
 ) -> FixedPointReport:
     """Certify ``u_bar`` as a common fixed point of the base return maps."""
     u = _as_state(sys, u_bar)
-    base = [m for m in maps if m.composition_defect == 0.0]
+    base = [m for m in maps if not m.composed]
     if tolerance is None:
         tolerance = default_certificate_tolerance(sys)
     deltas = np.array([m.delta for m in base])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import favard.cocycle
 from favard import (
     BlowUpError,
     CocycleSystem,
@@ -207,6 +208,15 @@ class TestCocycleAlgebra:
             Phi1, b1 = affine_path(sys, [tau])
             np.testing.assert_allclose(Phi[i], Phi1[0], atol=1e-12)
             np.testing.assert_allclose(b[i], b1[0], atol=1e-12)
+
+    def test_chunk_edges_match_one_chunk(self, monkeypatch):
+        sys = discrete_system()
+        taus = np.random.default_rng(0).permutation([0, 3, 3, 6, 7, 8, 14, 20])
+        Phi, b = affine_path(sys, taus)
+        monkeypatch.setattr(favard.cocycle, "_CHUNK", 7)
+        Phi7, b7 = affine_path(sys, taus)
+        np.testing.assert_allclose(Phi7, Phi, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b7, b, rtol=0, atol=1e-12)
 
     def test_map_samples_carry_return_quality(self):
         sys = decay_system()

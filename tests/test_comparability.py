@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import favard.comparability
 from favard import (
     BlowUpError,
     CocycleSystem,
     QuasiPeriodicSpec,
+    affine_path,
     check_sequence_inclusion,
     estimate_modulus,
     find_near_returns,
@@ -102,6 +104,26 @@ class TestEstimateModulus:
         sys = CocycleSystem(QuasiPeriodicSpec.from_dict(doc), np.zeros(1))
         with pytest.raises(BlowUpError):
             estimate_modulus(sys, [1.0], [0.1], 30.0, delta_grid=GRID)
+
+    def test_discrete_scan_step_sets_the_grid(self, monkeypatch):
+        doc = {
+            "frequencies": [SQRT2],
+            "matrix_terms": [{"k": [0], "cos": [[0.5]], "sin": [[0.0]]}],
+            "forcing_terms": [{"k": [1], "cos": [1.0], "sin": [0.0]}],
+            "time_domain": "discrete",
+            "dimension": 1,
+        }
+        sys = CocycleSystem(QuasiPeriodicSpec.from_dict(doc), np.zeros(1))
+        scanned = []
+
+        def recording_path(sys, taus):
+            scanned.append(np.array(taus))
+            return affine_path(sys, taus)
+
+        monkeypatch.setattr(favard.comparability, "affine_path", recording_path)
+        rep = estimate_modulus(sys, [1.0], [0.1], 30.0, delta_grid=GRID, scan_step=3)
+        np.testing.assert_array_equal(scanned[0], [3, 6, 9, 12, 15, 18, 21, 24, 27, 30])
+        assert rep.scan_step == 3.0
 
     def test_report_carries_truncation_parameters(self):
         sys = decay_system()

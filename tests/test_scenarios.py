@@ -58,6 +58,26 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError, match="system"):
             Scenario.from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "key, value, field",
+        [
+            ("h", 0, "h"),
+            ("h", -0.001, "h"),
+            ("horizon", math.inf, "horizon"),
+            ("base_phase", [0.0, 0.0], "base_phase"),
+            ("seed", {"state": [1.0, 2.0]}, "seed.state"),
+            ("seed", {"long_run": {"start": [], "burn_in": 5.0}}, "seed.long_run.start"),
+            ("epsilons", [math.nan], "epsilons"),
+            ("delta_cap", math.nan, "delta_cap"),
+        ],
+    )
+    def test_hostile_input_rejected(self, key, value, field):
+        doc = equilibrium_doc()
+        doc[key] = value
+        with pytest.raises(ConfigError) as exc:
+            Scenario.from_dict(doc)
+        assert exc.value.field == field
+
     def test_digest_stable_and_sensitive(self):
         a = Scenario.from_dict(equilibrium_doc())
         b = Scenario.from_dict(equilibrium_doc())

@@ -16,7 +16,6 @@ from favard import (
     default_certificate_tolerance,
     find_near_returns,
     grid_oracle,
-    project_simplex,
     solve_minmax,
     verify_fixed_point,
 )
@@ -81,32 +80,6 @@ def two_freq_system():
         "dimension": 1,
     }
     return CocycleSystem(QuasiPeriodicSpec.from_dict(doc), np.zeros(2))
-
-
-class TestSimplexProjection:
-    @given(st.lists(st.floats(-10, 10), min_size=1, max_size=20))
-    def test_lands_on_simplex(self, vals):
-        lam = project_simplex(np.array(vals))
-        assert np.all(lam >= 0)
-        assert np.sum(lam) == pytest.approx(1.0, abs=1e-12)
-
-    @given(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=10))
-    def test_fixes_simplex_points(self, vals):
-        v = np.array(vals)
-        v = v / v.sum()
-        np.testing.assert_allclose(project_simplex(v), v, atol=1e-12)
-
-    @settings(max_examples=50)
-    @given(
-        st.lists(st.floats(-5, 5), min_size=2, max_size=8),
-        st.integers(0, 10_000),
-    )
-    def test_is_nearest_point(self, vals, seed):
-        v = np.array(vals)
-        p = project_simplex(v)
-        rng = np.random.default_rng(seed)
-        q = rng.dirichlet(np.ones(v.size))
-        assert np.linalg.norm(v - p) <= np.linalg.norm(v - q) + 1e-9
 
 
 class TestNearReturns:
@@ -302,6 +275,23 @@ class TestFixedPointCertificate:
         rep = verify_fixed_point(sys, [1.0], prob.maps, [0.05, 0.01])
         assert rep.verdict == "certified"
         assert rep.max_residual <= default_certificate_tolerance(sys)
+
+    def test_counts_only_base_returns(self):
+        # constant coefficients make every composed map equal its two-leg
+        # composition, so its defect is exactly 0.0 like a base map's
+        doc = {
+            "frequencies": [1.0],
+            "matrix_terms": [{"k": [0], "cos": [[0.5]], "sin": [[0.0]]}],
+            "forcing_terms": [{"k": [0], "cos": [1.0], "sin": [0.0]}],
+            "time_domain": "discrete",
+            "dimension": 1,
+        }
+        sys = CocycleSystem(QuasiPeriodicSpec.from_dict(doc), np.zeros(1))
+        rets = find_near_returns(sys, 0.05, 500.0)
+        prob = FavardProblem.from_returns(sys, [2.0], rets)
+        assert len(prob.maps) > len(rets)
+        rep = verify_fixed_point(sys, [2.0], prob.maps, [0.05])
+        assert max(rep.counts) <= len(rets)
 
     def test_inconclusive_on_coarse_grid(self):
         sys = telescoping_system()
