@@ -13,7 +13,9 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+import re
+import traceback
+from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -22,7 +24,7 @@ import numpy as np
 from . import __version__ as _pkg_version
 from .cocycle import CocycleSystem, check_bounded, evaluate_affine
 from .comparability import DEFAULT_DELTA_GRID, estimate_modulus
-from .errors import ConfigError, FavardError
+from .errors import ConfigError
 from .signals import sample_forcing, scan_almost_periods
 from .solver import (
     FavardProblem,
@@ -36,36 +38,36 @@ from .solver import (
 EXIT_CERTIFIED = 0
 EXIT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
+_EXIT_CODES = {"certified": EXIT_CERTIFIED, "inconclusive": EXIT_INCONCLUSIVE, "error": EXIT_ERROR}
 
-_SCENARIO_FIELDS = {
-    "name",
-    "description",
-    "system",
-    "base_phase",
-    "h",
-    "seed",
-    "delta_cap",
-    "horizon",
-    "scan_step",
-    "composition_depth",
-    "delta_grid",
-    "epsilons",
-    "comparability_horizon",
-    "min_tau",
-    "almost_periods",
+#: The payload files of a run as they read when no stage fills them.
+EMPTY_PAYLOAD = {
+    "returns.csv": "tau,delta\n",
+    "favard.json": "{}",
+    "comparability.csv": "epsilon,delta,horizon,count\n",
+    "almost_periods.csv": "tau,window_L,epsilon\n",
 }
+
+#: A name becomes a directory under the output root, so it is one safe path
+#: component: letters, digits, '.', '_' and '-', not starting with '.'.
+_NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9._-]*")
 _SEED_FIELDS_STATE = {"state"}
 _SEED_FIELDS_LONG_RUN = {"long_run"}
 _LONG_RUN_FIELDS = {"start", "burn_in"}
-_AP_FIELDS = {"epsilon", "window_halfwidth", "scan_range", "scan_step", "sample_dt"}
+_AP_REQUIRED = {"epsilon", "window_halfwidth", "scan_range"}
+_AP_FIELDS = _AP_REQUIRED | {"scan_step", "sample_dt"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Scenario:
-    """Validated, serializable description of one full analysis run."""
+    """Validated, serializable description of one full analysis run.
+
+    The fields are the scenario file's fields; those without a default are
+    required.
+    """
 
     name: str
-    description: str
+    description: str = ""
     system: dict
     base_phase: tuple
     seed: dict
@@ -84,16 +86,21 @@ class Scenario:
     def from_dict(cls, doc: dict) -> "Scenario":
         if not isinstance(doc, dict):
             raise ConfigError("<root>", "scenario must be a JSON object")
-        unknown = set(doc) - _SCENARIO_FIELDS
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(sorted(unknown)[0], "unknown field")
-        for req in ("name", "system", "base_phase", "seed", "delta_cap", "horizon", "epsilons"):
-            if req not in doc:
-                raise ConfigError(req, "required field is missing")
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in doc:
+                raise ConfigError(f.name, "required field is missing")
+        name = doc["name"]
+        if not isinstance(name, str) or not _NAME.fullmatch(name):
+            raise ConfigError("name", "only letters, digits, '.', '_' and '-', not starting with '.'")
+        system = doc["system"]
+        if not isinstance(system, dict):
+            raise ConfigError("system", "must be a JSON object")
         try:
-            system = dict(doc["system"])
             spec = _spec_from_doc(system)  # validate eagerly
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError("system", str(exc)) from exc
         base_phase = _numbers("base_phase", doc["base_phase"])
         if len(base_phase) != spec.num_frequencies:
@@ -121,8 +128,13 @@ class Scenario:
         if ap is not None:
             if not isinstance(ap, dict) or set(ap) - _AP_FIELDS:
                 raise ConfigError("almost_periods", f"fields must be among {sorted(_AP_FIELDS)}")
+            missing = _AP_REQUIRED - set(ap)
+            if missing:
+                raise ConfigError(f"almost_periods.{sorted(missing)[0]}", "required field is missing")
             for key, value in ap.items():
                 _numbers(f"almost_periods.{key}", value if key == "scan_range" else [value])
+            if len(ap["scan_range"]) != 2:
+                raise ConfigError("almost_periods.scan_range", "needs 2 entries, [lo, hi]")
         if _number("delta_cap", doc["delta_cap"]) <= 0:
             raise ConfigError("delta_cap", "must be positive")
         if _number("horizon", doc["horizon"]) <= 0:
@@ -133,7 +145,7 @@ class Scenario:
         eps = _numbers("epsilons", doc["epsilons"])
         if not eps or any(e <= 0 for e in eps):
             raise ConfigError("epsilons", "must be a nonempty list of positive numbers")
-        depth = int(doc.get("composition_depth", 1))
+        depth = doc.get("composition_depth", 1)
         if depth not in (0, 1):
             raise ConfigError("composition_depth", "must be 0 or 1")
         grid = doc.get("delta_grid")
@@ -142,9 +154,9 @@ class Scenario:
             if not grid or any(g <= 0 for g in grid):
                 raise ConfigError("delta_grid", "must be a nonempty list of positive numbers")
         return cls(
-            name=str(doc["name"]),
+            name=name,
             description=str(doc.get("description", "")),
-            system=system,
+            system=dict(system),
             base_phase=base_phase,
             seed=seed,
             delta_cap=float(doc["delta_cap"]),
@@ -152,7 +164,7 @@ class Scenario:
             epsilons=eps,
             h=h,
             scan_step=None if doc.get("scan_step") is None else _number("scan_step", doc["scan_step"]),
-            composition_depth=depth,
+            composition_depth=int(depth),
             delta_grid=grid,
             comparability_horizon=(
                 None
@@ -164,28 +176,9 @@ class Scenario:
         )
 
     def to_dict(self) -> dict:
-        doc = {
-            "name": self.name,
-            "description": self.description,
-            "system": self.system,
-            "base_phase": list(self.base_phase),
-            "seed": self.seed,
-            "delta_cap": self.delta_cap,
-            "horizon": self.horizon,
-            "epsilons": list(self.epsilons),
-            "h": self.h,
-            "composition_depth": self.composition_depth,
-            "min_tau": self.min_tau,
-        }
-        if self.scan_step is not None:
-            doc["scan_step"] = self.scan_step
-        if self.delta_grid is not None:
-            doc["delta_grid"] = list(self.delta_grid)
-        if self.comparability_horizon is not None:
-            doc["comparability_horizon"] = self.comparability_horizon
-        if self.almost_periods is not None:
-            doc["almost_periods"] = self.almost_periods
-        return doc
+        """The scenario file: unset optional fields left out, tuples as lists."""
+        items = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in items if v is not None}
 
     def digest(self) -> str:
         payload = json.dumps(self.to_dict(), sort_keys=True).encode()
@@ -282,8 +275,86 @@ def _allocate_run_dir(out_root: Path, scenario: Scenario) -> Path:
             counter += 1
 
 
-def _write(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8")
+def _analyse(scenario: Scenario, h: float, files: dict, lines: list) -> dict:
+    """Run the pipeline stages, filling ``files`` and the summary ``lines``.
+
+    Returns the outcome's :class:`RunRecord` fields other than the scenario,
+    the run directory and the exit code.
+    """
+    sys = build_system(scenario, h)
+    sys, u0 = resolve_seed(sys, scenario)
+    returns = find_near_returns(sys, scenario.delta_cap, scenario.horizon, scenario.scan_step)
+    files["returns.csv"] = returns.to_csv()
+    lines.append(f"near_returns: {len(returns)} (delta_cap {scenario.delta_cap!r})")
+    if len(returns) == 0:
+        return {"verdict": "inconclusive",
+                "message": "no near returns below delta_cap within the horizon"}
+
+    problem = FavardProblem.from_returns(sys, u0, returns, depth=scenario.composition_depth)
+    result = solve_minmax(problem)
+    grid = scenario.delta_grid or DEFAULT_DELTA_GRID
+    report = verify_fixed_point(sys, result.u_bar, problem.maps, grid)
+    favard_doc = {
+        "u_bar": result.u_bar.tolist(),
+        "objective_value": result.value,
+        "weights": result.weights.tolist(),
+        "iterations": result.iterations,
+        "hull_dimension": result.hull_dimension,
+        "fixed_point": report.to_dict(),
+        "provenance": {
+            "scenario_digest": scenario.digest(),
+            "delta_cap": scenario.delta_cap,
+            "horizon": scenario.horizon,
+            "h": h,
+            "optimizer": {
+                "method": "two_stage_lp",
+                "iterations": result.iterations,
+                "converged": result.converged,
+                "lower_bound": result.lower_bound,
+            },
+        },
+    }
+    files["favard.json"] = json.dumps(favard_doc, indent=2, sort_keys=True)
+    lines.append(f"objective_value: {result.value!r}")
+    lines.append(f"u_bar: {result.u_bar.tolist()!r}")
+    lines.append(f"fixed_point: {report.verdict} (max residual {report.max_residual!r})")
+
+    comp = None
+    if report.verdict == "certified":
+        comp = estimate_modulus(
+            sys,
+            result.u_bar,
+            scenario.epsilons,
+            scenario.comparability_horizon or scenario.horizon,
+            delta_grid=grid,
+            min_tau=scenario.min_tau,
+            scan_step=scenario.scan_step,
+        )
+        files["comparability.csv"] = comp.to_csv()
+        for eps, dlt in zip(comp.epsilons, comp.deltas):
+            lines.append(f"delta({eps!r}) = {dlt!r}")
+
+    if scenario.almost_periods is not None:
+        ap = dict(scenario.almost_periods)
+        dt = float(ap.get("sample_dt", 0.01 if sys.continuous else 1.0))
+        L = float(ap["window_halfwidth"])
+        lo, hi = (float(x) for x in ap["scan_range"])
+        count = int(round((L + hi - (-L)) / dt)) + 1
+        traj = sample_forcing(sys.spec, np.array(sys.base_phase), -L, dt, count)
+        ap_report = scan_almost_periods(
+            traj, float(ap["epsilon"]), (lo, hi), float(ap.get("scan_step", dt)), L
+        )
+        files["almost_periods.csv"] = ap_report.to_csv()
+        lines.append(f"almost_periods: {ap_report.periods.size} found")
+
+    return {
+        "verdict": report.verdict,
+        "u_bar": result.u_bar,
+        "solve": result,
+        "fixed_point": report,
+        "comparability": comp,
+        "return_count": len(returns),
+    }
 
 
 def run_scenario(
@@ -296,140 +367,43 @@ def run_scenario(
 
     Files written: scenario.json, returns.csv, favard.json,
     comparability.csv, almost_periods.csv, summary.txt, metadata.json.
-    Exit code semantics: 0 certified, 2 inconclusive, 1 error.
+    Exit code semantics: 0 certified, 2 inconclusive, 1 error.  Any
+    exception of the pipeline is an error verdict: the payload files read
+    as in ``EMPTY_PAYLOAD`` and metadata.json holds the traceback.
     """
     run_dir = _allocate_run_dir(Path(out_root), scenario)
-    _write(run_dir / "scenario.json", json.dumps(scenario.to_dict(), indent=2, sort_keys=True))
+    h = scenario.h if h_override is None else h_override
+    meta = {
+        "created_utc": datetime.now(timezone.utc).isoformat(),
+        "package_version": _pkg_version,
+        "integrator_step": h,
+    }
+    files = {"scenario.json": json.dumps(scenario.to_dict(), indent=2, sort_keys=True)}
+    files.update(EMPTY_PAYLOAD)
     lines = [f"scenario: {scenario.name}", f"description: {scenario.description}"]
-
-    def finish(record: RunRecord) -> RunRecord:
-        lines.append(f"verdict: {record.verdict}")
-        lines.append(f"exit_code: {record.exit_code}")
-        if record.message:
-            lines.append(f"message: {record.message}")
-        _write(run_dir / "summary.txt", "\n".join(lines) + "\n")
-        meta = {
-            "created_utc": datetime.now(timezone.utc).isoformat(),
-            "package_version": _pkg_version,
-            "integrator_step": scenario.h if h_override is None else h_override,
-        }
-        _write(run_dir / "metadata.json", json.dumps(meta, indent=2, sort_keys=True))
-        if not quiet:
-            print(f"[{scenario.name}] {record.verdict} -> {run_dir}")
-        return record
-
-    def empty_artifacts():
-        _write(run_dir / "returns.csv", "tau,delta\n")
-        _write(run_dir / "favard.json", json.dumps({}, sort_keys=True))
-        _write(run_dir / "comparability.csv", "epsilon,delta,horizon,count\n")
-        _write(run_dir / "almost_periods.csv", "tau,window_L,epsilon\n")
-
     try:
-        sys = build_system(scenario, h_override)
-        sys, u0 = resolve_seed(sys, scenario)
-        returns = find_near_returns(sys, scenario.delta_cap, scenario.horizon, scenario.scan_step)
-        _write(run_dir / "returns.csv", returns.to_csv())
-        lines.append(f"near_returns: {len(returns)} (delta_cap {scenario.delta_cap!r})")
-        if len(returns) == 0:
-            empty_artifacts()
-            return finish(
-                RunRecord(
-                    scenario=scenario,
-                    run_dir=run_dir,
-                    verdict="inconclusive",
-                    exit_code=EXIT_INCONCLUSIVE,
-                    message="no near returns below delta_cap within the horizon",
-                )
-            )
-
-        problem = FavardProblem.from_returns(
-            sys, u0, returns, depth=scenario.composition_depth
-        )
-        result = solve_minmax(problem)
-        grid = scenario.delta_grid or DEFAULT_DELTA_GRID
-        report = verify_fixed_point(sys, result.u_bar, problem.maps, grid)
-        favard_doc = {
-            "u_bar": result.u_bar.tolist(),
-            "objective_value": result.value,
-            "weights": result.weights.tolist(),
-            "iterations": result.iterations,
-            "hull_dimension": result.hull_dimension,
-            "fixed_point": report.to_dict(),
-            "provenance": {
-                "scenario_digest": scenario.digest(),
-                "delta_cap": scenario.delta_cap,
-                "horizon": scenario.horizon,
-                "h": scenario.h if h_override is None else h_override,
-                "optimizer": {
-                    "method": result.method,
-                    "iterations": result.iterations,
-                    "converged": result.converged,
-                    "lower_bound": result.lower_bound,
-                },
-            },
-        }
-        _write(run_dir / "favard.json", json.dumps(favard_doc, indent=2, sort_keys=True))
-        lines.append(f"objective_value: {result.value!r}")
-        lines.append(f"u_bar: {result.u_bar.tolist()!r}")
-        lines.append(f"fixed_point: {report.verdict} (max residual {report.max_residual!r})")
-
-        comp = None
-        if report.verdict == "certified":
-            comp = estimate_modulus(
-                sys,
-                result.u_bar,
-                scenario.epsilons,
-                scenario.comparability_horizon or scenario.horizon,
-                delta_grid=grid,
-                min_tau=scenario.min_tau,
-                scan_step=scenario.scan_step,
-            )
-            _write(run_dir / "comparability.csv", comp.to_csv())
-            for eps, dlt in zip(comp.epsilons, comp.deltas):
-                lines.append(f"delta({eps!r}) = {dlt!r}")
-        else:
-            _write(run_dir / "comparability.csv", "epsilon,delta,horizon,count\n")
-
-        if scenario.almost_periods is not None:
-            ap = dict(scenario.almost_periods)
-            dt = float(ap.get("sample_dt", 0.01 if sys.continuous else 1.0))
-            L = float(ap["window_halfwidth"])
-            lo, hi = (float(x) for x in ap["scan_range"])
-            count = int(round((L + hi - (-L)) / dt)) + 1
-            traj = sample_forcing(sys.spec, np.array(sys.base_phase), -L, dt, count)
-            ap_report = scan_almost_periods(
-                traj, float(ap["epsilon"]), (lo, hi), float(ap.get("scan_step", dt)), L
-            )
-            _write(run_dir / "almost_periods.csv", ap_report.to_csv())
-            lines.append(f"almost_periods: {ap_report.periods.size} found")
-        else:
-            _write(run_dir / "almost_periods.csv", "tau,window_L,epsilon\n")
-
-        certified = report.verdict == "certified"
-        return finish(
-            RunRecord(
-                scenario=scenario,
-                run_dir=run_dir,
-                verdict=report.verdict,
-                exit_code=EXIT_CERTIFIED if certified else EXIT_INCONCLUSIVE,
-                u_bar=result.u_bar,
-                solve=result,
-                fixed_point=report,
-                comparability=comp,
-                return_count=len(returns),
-            )
-        )
-    except FavardError as exc:
-        empty_artifacts()
-        return finish(
-            RunRecord(
-                scenario=scenario,
-                run_dir=run_dir,
-                verdict="error",
-                exit_code=EXIT_ERROR,
-                message=f"{type(exc).__name__}: {exc}",
-            )
-        )
+        outcome = _analyse(scenario, h, files, lines)
+    except Exception as exc:
+        files.update(EMPTY_PAYLOAD)
+        outcome = {"verdict": "error", "message": f"{type(exc).__name__}: {exc}"}
+        meta["traceback"] = traceback.format_exc()
+    record = RunRecord(
+        scenario=scenario,
+        run_dir=run_dir,
+        exit_code=_EXIT_CODES[outcome["verdict"]],
+        **outcome,
+    )
+    lines.append(f"verdict: {record.verdict}")
+    lines.append(f"exit_code: {record.exit_code}")
+    if record.message:
+        lines.append(f"message: {record.message}")
+    files["summary.txt"] = "\n".join(lines) + "\n"
+    files["metadata.json"] = json.dumps(meta, indent=2, sort_keys=True)
+    for name, text in files.items():
+        (run_dir / name).write_text(text, encoding="utf-8")
+    if not quiet:
+        print(f"[{scenario.name}] {record.verdict} -> {run_dir}")
+    return record
 
 
 # ---------------------------------------------------------------------------

@@ -125,13 +125,15 @@ def compose_returns(
     """
     if depth not in (0, 1):
         raise ValueError("composition depth must be 0 or 1")
-    base = affine_map_samples(sys, returns.taus) if len(returns) else []
-    if depth == 0 or len(base) == 0:
-        return base
-    picks = np.argsort(returns.deltas, kind="stable")[:_SUMMANDS]
+    if len(returns) == 0:
+        return []
+    picks = np.argsort(returns.deltas, kind="stable")[:_SUMMANDS] if depth else []
+    summands = returns.steps[picks]
+    sums = np.unique(np.add.outer(summands, summands)).tolist()
+    # one march for the base shifts and the sums, which reach twice as far
+    maps = affine_map_samples(sys, np.concatenate([returns.steps, sums]) * returns.step)
+    base, direct = maps[: len(returns)], maps[len(returns) :]
     by_steps = {int(returns.steps[i]): base[i] for i in picks}
-    sums = sorted({a + b for a in by_steps for b in by_steps if a <= b})
-    direct = affine_map_samples(sys, np.array(sums) * returns.step)
     out = list(base)
     for total, s in zip(sums, direct):
         defect = math.inf
@@ -203,7 +205,7 @@ class FavardProblem:
 class FavardResult:
     """Minimizer of the min-max functional, with ``iterations`` the simplex
     pivots spent and ``lower_bound`` the stage-1 LP value, a certified lower
-    bound on the optimum (0 where the method certifies none)."""
+    bound on the optimum."""
 
     u_bar: np.ndarray
     value: float
@@ -212,7 +214,6 @@ class FavardResult:
     converged: bool
     lower_bound: float
     hull_dimension: int
-    method: str = "two_stage_lp"
 
 
 #: Stage 2 may raise the stage-1 optimum ``t*`` by this factor of
@@ -362,24 +363,19 @@ def _lp_minimize(R, block: int, bounded: int, budget: int, cap=None):
 
 def solve_minmax(
     problem: FavardProblem,
-    method: str = "two_stage_lp",
     iterations: int = 10_000,
-    grid_resolution: int = 801,
 ) -> FavardResult:
     """Minimize ``l(u) = max_k |Phi_k u + b_k - u0|`` over the hull, nearest the anchor.
 
     With ``u = P^T lam`` every residual is linear in the simplex weights
-    ``lam``, so the default method solves two LPs (:func:`_lp_minimize`):
+    ``lam``, so the solve is two LPs (:func:`_lp_minimize`):
     stage 1 minimizes ``l``, whose optimum ``t*`` is the ``lower_bound``;
     stage 2 keeps ``l(u) <= t* + TIE_BREAK_SLACK * max(1, t*)`` and
     minimizes the state-norm distance ``|u - u0|``, picking the minimizer
     nearest the anchor.  ``iterations`` caps the simplex pivots of the whole
-    solve; reaching it raises :class:`SolverError`.  ``method="grid_oracle"``
-    instead brute-forces a grid of the hull (dimension <= 2 only) and gets
-    its weights from stage 2 alone, with no cap and the grid point as anchor.
+    solve; reaching it raises :class:`SolverError`.  :func:`grid_oracle` is
+    the independent brute-force cross-check.
     """
-    if method not in ("two_stage_lp", "grid_oracle"):
-        raise ValueError("method must be 'two_stage_lp' or 'grid_oracle'")
     P = problem.hull_points  # (K, n)
     K = P.shape[0]
     dim = problem.hull_dimension()
@@ -387,10 +383,6 @@ def solve_minmax(
     if dim == 0:
         u_bar, lam, pivots, converged = P.mean(axis=0), np.full(K, 1.0 / K), 0, True
         t_star = problem.objective(u_bar)
-    elif method == "grid_oracle":
-        u_bar, _ = grid_oracle(problem, resolution=grid_resolution)
-        lam, _, pivots, converged = _lp_minimize((P - u_bar).T[None], block, 0, iterations)
-        t_star = 0.0
     else:
         R = np.stack([m.Phi @ P.T + (m.b - problem.anchor)[:, None] for m in problem.maps])
         _, t_star, first, exact = _lp_minimize(R, block, len(R), iterations)
@@ -406,7 +398,6 @@ def solve_minmax(
         converged=converged,
         lower_bound=t_star,
         hull_dimension=dim,
-        method=method,
     )
 
 

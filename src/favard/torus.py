@@ -56,6 +56,8 @@ class TrigPolynomial:
         sc = np.asarray(self.sin_coeffs, dtype=float)
         if cc.shape != sc.shape or cc.shape[0] != idx.shape[0]:
             raise ValueError("coefficient arrays must share a leading term axis")
+        if not (np.isfinite(cc).all() and np.isfinite(sc).all()):
+            raise ValueError("term coefficients must be finite")
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "cos_coeffs", cc)
         object.__setattr__(self, "sin_coeffs", sc)
@@ -152,6 +154,8 @@ class QuasiPeriodicSpec:
         object.__setattr__(self, "frequencies", omega)
         if omega.size == 0:
             raise ValueError("at least one frequency is required")
+        if not np.isfinite(omega).all():
+            raise ValueError("frequencies must be finite")
         if np.any(omega == 0.0):
             raise ValueError("frequencies must be nonzero")
         if len(set(omega.tolist())) != omega.size:

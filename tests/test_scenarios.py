@@ -22,6 +22,19 @@ def equilibrium_doc():
     return bundled_scenarios()["equilibrium"].to_dict()
 
 
+SYSTEM = equilibrium_doc()["system"]
+AP = {"epsilon": 1.0, "window_halfwidth": 20.0, "scan_range": [0.0, 60.0]}
+RUN_FILES = (
+    "scenario.json",
+    "returns.csv",
+    "favard.json",
+    "comparability.csv",
+    "almost_periods.csv",
+    "summary.txt",
+    "metadata.json",
+)
+
+
 class TestScenarioValidation:
     def test_roundtrip(self):
         doc = equilibrium_doc()
@@ -69,6 +82,20 @@ class TestScenarioValidation:
             ("seed", {"long_run": {"start": [], "burn_in": 5.0}}, "seed.long_run.start"),
             ("epsilons", [math.nan], "epsilons"),
             ("delta_cap", math.nan, "delta_cap"),
+            ("name", "../../escaped", "name"),
+            ("name", ".hidden", "name"),
+            ("composition_depth", "x", "composition_depth"),
+            ("composition_depth", 1.5, "composition_depth"),
+            ("almost_periods", {"epsilon": 1.0}, "almost_periods.scan_range"),
+            ("almost_periods", AP | {"scan_range": [0.0, 30.0, 60.0]}, "almost_periods.scan_range"),
+            ("system", SYSTEM | {"frequencies": [math.nan]}, "system"),
+            ("system", SYSTEM | {"frequencies": [math.inf]}, "system"),
+            ("system", SYSTEM | {"forcing_terms": [{"k": [0], "cos": [math.nan], "sin": [0.0]}]},
+             "system"),
+            ("system", SYSTEM | {"matrix_terms": [{"k": [0], "cos": [[1.0]], "sin": [[-math.inf]]}]},
+             "system"),
+            ("system", [1], "system"),
+            ("system", SYSTEM | {"matrix_terms": 5}, "system"),
         ],
     )
     def test_hostile_input_rejected(self, key, value, field):
@@ -170,6 +197,22 @@ class TestRunScenario:
         assert rec.exit_code == EXIT_ERROR
         assert "SolverError" in rec.message
         assert (rec.run_dir / "favard.json").exists()
+
+    def test_any_exception_is_an_error_verdict_with_every_file(self, tmp_path, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(favard.scenarios, "estimate_modulus", boom)
+        rec = run_scenario(bundled_scenarios()["equilibrium"], tmp_path, quiet=True)
+        assert rec.verdict == "error"
+        assert rec.exit_code == EXIT_ERROR
+        assert rec.message == "RuntimeError: boom"
+        assert sorted(p.name for p in rec.run_dir.iterdir()) == sorted(RUN_FILES)
+        for name, text in favard.scenarios.EMPTY_PAYLOAD.items():
+            assert (rec.run_dir / name).read_text(encoding="utf-8") == text, name
+        assert "message: RuntimeError: boom" in (rec.run_dir / "summary.txt").read_text()
+        meta = json.loads((rec.run_dir / "metadata.json").read_text())
+        assert "RuntimeError: boom" in meta["traceback"]
 
     def test_payloads_deterministic_across_runs(self, tmp_path):
         scenario = bundled_scenarios()["telescoping-discrete"]

@@ -155,22 +155,6 @@ class TestSolveMinmax:
         assert res.value == pytest.approx(v_g, abs=1e-6)
         assert abs(res.u_bar[0] - u_g[0]) < 1e-4
 
-    def test_grid_oracle_method(self):
-        sys = telescoping_system()
-        rets = find_near_returns(sys, 0.05, 1000.0)
-        prob = FavardProblem.from_returns(sys, [1.0], rets)
-        res = solve_minmax(prob, method="grid_oracle")
-        assert res.method == "grid_oracle"
-        # reported weights reproduce the minimizer as a hull combination
-        np.testing.assert_allclose(prob.hull_points.T @ res.weights, res.u_bar, atol=1e-8)
-
-    def test_unknown_method_rejected(self):
-        sys = telescoping_system()
-        rets = find_near_returns(sys, 0.05, 1000.0)
-        prob = FavardProblem.from_returns(sys, [1.0], rets)
-        with pytest.raises(ValueError):
-            solve_minmax(prob, method="annealing")
-
     def test_weights_on_simplex(self):
         sys = telescoping_system()
         rets = find_near_returns(sys, 0.05, 1000.0)
