@@ -24,19 +24,16 @@ from .cocycle import (
 from .comparability import (
     DEFAULT_DELTA_GRID,
     ComparabilityReport,
-    check_sequence_inclusion,
     estimate_modulus,
 )
 from .errors import (
     BlowUpError,
     ConfigError,
     CoverageError,
-    DomainMismatchError,
     FavardError,
     NearSingularityError,
     SingularStepError,
     SolverError,
-    UncertifiedError,
 )
 from .scenarios import (
     EXIT_CERTIFIED,
@@ -52,8 +49,6 @@ from .scenarios import (
 from .signals import (
     AlmostPeriodReport,
     TrajectorySample,
-    bebutov_distance,
-    relative_density_gap,
     sample_forcing,
     sample_signal,
     scan_almost_periods,
@@ -64,7 +59,6 @@ from .solver import (
     FavardResult,
     FixedPointReport,
     NearReturnSet,
-    comparability_from_fixed_point,
     compose_returns,
     default_certificate_tolerance,
     find_near_returns,
@@ -77,7 +71,6 @@ from .torus import (
     ReciprocalForcing,
     TrigPolynomial,
     angular_distance,
-    eval_base,
     reduce_phase,
 )
 

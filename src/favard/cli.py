@@ -92,9 +92,7 @@ def _cmd_oracle(args) -> int:
         if len(returns) == 0:
             print("no near returns below delta_cap; nothing to cross-check")
             return EXIT_INCONCLUSIVE
-        problem = FavardProblem.from_returns(
-            system, u0, returns, depth=scenario.composition_depth
-        )
+        problem = FavardProblem.from_returns(system, u0, returns)
         result = solve_minmax(problem)
         u_grid, v_grid = grid_oracle(problem, resolution=args.resolution)
     except FavardError as exc:

@@ -103,26 +103,17 @@ class AffineMapSample:
     Phi: np.ndarray
     b: np.ndarray
     delta: float
-    composition_defect: float = 0.0
     composed: bool = False  # a pairwise-sum shift, not a base return
 
 
 @dataclass(frozen=True)
 class DelayState:
-    """History segment (u(t), u(t-1), ..., u(t-r)) with the summed-block norm."""
+    """History segment (u(t), u(t-1), ..., u(t-r)) of a delay recursion."""
 
     history: tuple
 
     def stacked(self) -> np.ndarray:
         return np.concatenate([np.atleast_1d(np.asarray(h, dtype=float)) for h in self.history])
-
-    @classmethod
-    def from_stacked(cls, v: np.ndarray, n: int) -> "DelayState":
-        v = np.asarray(v, dtype=float)
-        return cls(tuple(v[i : i + n].copy() for i in range(0, v.size, n)))
-
-    def norm(self) -> float:
-        return float(sum(np.linalg.norm(np.atleast_1d(h)) for h in self.history))
 
 
 # ---------------------------------------------------------------------------

@@ -28,15 +28,11 @@ class ComparabilityReport:
     horizon: float
     min_tau: float
     scan_step: float
-    base_return_count: int
     solution_norm_kind: str
 
     def __post_init__(self):
         if not (len(self.epsilons) == len(self.deltas) == len(self.counts)):
             raise ValueError("epsilons, deltas and counts must have equal length")
-
-    def delta_of(self, epsilon: float) -> float:
-        return self.deltas[self.epsilons.index(epsilon)]
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -95,22 +91,5 @@ def estimate_modulus(
         horizon=float(horizon),
         min_tau=float(min_tau),
         scan_step=float(taus[0]),
-        base_return_count=max(counts) if counts else 0,
         solution_norm_kind=sys.norm_kind,
     )
-
-
-def check_sequence_inclusion(sys: CocycleSystem, u, taus, epsilon: float):
-    """True iff the state returns within epsilon along every listed base shift.
-
-    Returns (ok, (worst_tau, worst_deviation)).
-    """
-    taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    if np.any(np.diff(taus) < 0):
-        raise ValueError("taus must be sorted increasing")
-    u = _as_state(sys, u)
-    Phi, b = affine_path(sys, taus)
-    deviations = sys.state_norm(Phi @ u + b - u)
-    worst = int(np.argmax(deviations))
-    ok = bool(np.all(deviations < epsilon))
-    return ok, (float(taus[worst]), float(deviations[worst]))

@@ -16,10 +16,6 @@ class NearSingularityError(FavardError):
         )
 
 
-class DomainMismatchError(FavardError):
-    """Two trajectory samples do not share the same time grid."""
-
-
 class CoverageError(FavardError):
     """A trajectory sample does not cover the time window a scan requires."""
 
@@ -38,10 +34,6 @@ class BlowUpError(FavardError):
 
 class SolverError(FavardError):
     """The min-max solver ran out of pivots, or roundoff broke its first LP."""
-
-
-class UncertifiedError(FavardError):
-    """A downstream stage requires a certified fixed point but got an inconclusive one."""
 
 
 class ConfigError(FavardError):

@@ -9,6 +9,7 @@ metadata file so payload files are byte-identical across reruns.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -76,7 +77,6 @@ class Scenario:
     epsilons: tuple
     h: float = 1e-3
     scan_step: float | None = None
-    composition_depth: int = 1
     delta_grid: tuple | None = None
     comparability_horizon: float | None = None
     min_tau: float = 0.0
@@ -131,23 +131,26 @@ class Scenario:
             missing = _AP_REQUIRED - set(ap)
             if missing:
                 raise ConfigError(f"almost_periods.{sorted(missing)[0]}", "required field is missing")
-            for key, value in ap.items():
-                _numbers(f"almost_periods.{key}", value if key == "scan_range" else [value])
-            if len(ap["scan_range"]) != 2:
-                raise ConfigError("almost_periods.scan_range", "needs 2 entries, [lo, hi]")
+            _check_almost_periods(ap, 0.01 if spec.time_domain == "continuous" else 1.0)
         if _number("delta_cap", doc["delta_cap"]) <= 0:
             raise ConfigError("delta_cap", "must be positive")
-        if _number("horizon", doc["horizon"]) <= 0:
+        horizon = _number("horizon", doc["horizon"])
+        if horizon <= 0:
             raise ConfigError("horizon", "must be positive")
+        comp_horizon = doc.get("comparability_horizon")
+        if comp_horizon is not None:
+            comp_horizon = _number("comparability_horizon", comp_horizon)
+            if comp_horizon <= 0:
+                raise ConfigError("comparability_horizon", "must be positive")
+        min_tau = _number("min_tau", doc.get("min_tau", 0.0))
+        if not 0 <= min_tau < (comp_horizon or horizon):
+            raise ConfigError("min_tau", "must be at least 0 and below the comparability horizon")
         h = _number("h", doc.get("h", 1e-3))
         if h <= 0:
             raise ConfigError("h", "must be positive")
         eps = _numbers("epsilons", doc["epsilons"])
         if not eps or any(e <= 0 for e in eps):
             raise ConfigError("epsilons", "must be a nonempty list of positive numbers")
-        depth = doc.get("composition_depth", 1)
-        if depth not in (0, 1):
-            raise ConfigError("composition_depth", "must be 0 or 1")
         grid = doc.get("delta_grid")
         if grid is not None:
             grid = _numbers("delta_grid", grid)
@@ -156,29 +159,25 @@ class Scenario:
         return cls(
             name=name,
             description=str(doc.get("description", "")),
-            system=dict(system),
+            system=copy.deepcopy(system),
             base_phase=base_phase,
-            seed=seed,
+            seed=copy.deepcopy(seed),
             delta_cap=float(doc["delta_cap"]),
-            horizon=float(doc["horizon"]),
+            horizon=horizon,
             epsilons=eps,
             h=h,
             scan_step=None if doc.get("scan_step") is None else _number("scan_step", doc["scan_step"]),
-            composition_depth=int(depth),
             delta_grid=grid,
-            comparability_horizon=(
-                None
-                if doc.get("comparability_horizon") is None
-                else _number("comparability_horizon", doc["comparability_horizon"])
-            ),
-            min_tau=_number("min_tau", doc.get("min_tau", 0.0)),
-            almost_periods=ap,
+            comparability_horizon=comp_horizon,
+            min_tau=min_tau,
+            almost_periods=copy.deepcopy(ap),
         )
 
     def to_dict(self) -> dict:
-        """The scenario file: unset optional fields left out, tuples as lists."""
+        """The scenario file, a copy: unset optional fields left out, tuples as lists."""
         items = ((f.name, getattr(self, f.name)) for f in fields(self))
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in items if v is not None}
+        return {k: list(v) if isinstance(v, tuple) else copy.deepcopy(v)
+                for k, v in items if v is not None}
 
     def digest(self) -> str:
         payload = json.dumps(self.to_dict(), sort_keys=True).encode()
@@ -200,6 +199,22 @@ def _numbers(field: str, values) -> tuple:
     if not isinstance(values, (list, tuple)):
         raise ConfigError(field, "must be a list of numbers")
     return tuple(_number(field, v) for v in values)
+
+
+def _check_almost_periods(ap: dict, default_dt: float) -> None:
+    """Reject the ``almost_periods`` values on which the scan cannot run."""
+    num = {k: _number(f"almost_periods.{k}", v) for k, v in ap.items() if k != "scan_range"}
+    scan_range = _numbers("almost_periods.scan_range", ap["scan_range"])
+    if len(scan_range) != 2 or not 0 <= scan_range[0] <= scan_range[1]:
+        raise ConfigError("almost_periods.scan_range", "needs 2 entries, [lo, hi] with 0 <= lo <= hi")
+    for key in ("epsilon", "window_halfwidth", "sample_dt"):
+        if num.get(key, default_dt) <= 0:
+            raise ConfigError(f"almost_periods.{key}", "must be positive")
+    dt = num.get("sample_dt", default_dt)
+    step = num.get("scan_step", dt)
+    k = round(step / dt)
+    if k < 1 or abs(k * dt - step) > 1e-9 * max(1.0, step):
+        raise ConfigError("almost_periods.scan_step", "must be a positive whole multiple of sample_dt")
 
 
 def _spec_from_doc(doc: dict):
@@ -290,7 +305,7 @@ def _analyse(scenario: Scenario, h: float, files: dict, lines: list) -> dict:
         return {"verdict": "inconclusive",
                 "message": "no near returns below delta_cap within the horizon"}
 
-    problem = FavardProblem.from_returns(sys, u0, returns, depth=scenario.composition_depth)
+    problem = FavardProblem.from_returns(sys, u0, returns)
     result = solve_minmax(problem)
     grid = scenario.delta_grid or DEFAULT_DELTA_GRID
     report = verify_fixed_point(sys, result.u_bar, problem.maps, grid)
@@ -339,7 +354,7 @@ def _analyse(scenario: Scenario, h: float, files: dict, lines: list) -> dict:
         dt = float(ap.get("sample_dt", 0.01 if sys.continuous else 1.0))
         L = float(ap["window_halfwidth"])
         lo, hi = (float(x) for x in ap["scan_range"])
-        count = int(round((L + hi - (-L)) / dt)) + 1
+        count = math.ceil((2 * L + hi) / dt - 1e-9) + 1  # covers [-L, L + hi]
         traj = sample_forcing(sys.spec, np.array(sys.base_phase), -L, dt, count)
         ap_report = scan_almost_periods(
             traj, float(ap["epsilon"]), (lo, hi), float(ap.get("scan_step", dt)), L

@@ -1,4 +1,4 @@
-"""Finite-window signal analysis: compact-window metric and almost-period scans."""
+"""Finite-window signal analysis: sampled paths and almost-period scans."""
 
 from __future__ import annotations
 
@@ -8,10 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoverageError, DomainMismatchError
+from .errors import CoverageError
 from .torus import QuasiPeriodicSpec
-
-_NORMS = ("euclidean", "sup", "delay_sum")
 
 
 def vector_norm(values: np.ndarray, kind: str, block: int | None = None) -> np.ndarray:
@@ -22,8 +20,6 @@ def vector_norm(values: np.ndarray, kind: str, block: int | None = None) -> np.n
     """
     if kind == "euclidean":
         return np.linalg.norm(values, axis=-1)
-    if kind == "sup":
-        return np.max(np.abs(values), axis=-1)
     if kind == "delay_sum":
         if block is None or values.shape[-1] % block != 0:
             raise ValueError("delay_sum norm needs a block size dividing the dimension")
@@ -39,8 +35,6 @@ class TrajectorySample:
     t0: float
     dt: float
     values: np.ndarray  # (N, d)
-    norm_kind: str = "euclidean"
-    block: int | None = None  # block size for delay_sum
 
     def __post_init__(self):
         v = np.atleast_2d(np.asarray(self.values, dtype=float))
@@ -48,10 +42,6 @@ class TrajectorySample:
             raise ValueError("values must be nonempty")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.norm_kind not in _NORMS:
-            raise ValueError(f"norm_kind must be one of {_NORMS}")
-        if self.norm_kind == "delay_sum" and self.block is None:
-            raise ValueError("delay_sum samples must carry a block size")
         object.__setattr__(self, "values", v)
 
     def __len__(self) -> int:
@@ -68,52 +58,22 @@ class TrajectorySample:
             raise CoverageError(f"time {t} outside sampled window [{self.t0}, {self.t_end}]")
         return int(i)
 
-    def diff_norms(self, other_values: np.ndarray) -> np.ndarray:
-        return vector_norm(self.values - other_values, self.norm_kind, self.block)
 
-
-def sample_signal(fn, t0: float, dt: float, count: int, **kwargs) -> TrajectorySample:
+def sample_signal(fn, t0: float, dt: float, count: int) -> TrajectorySample:
     """Sample a vectorized function of time on a uniform grid."""
     t = t0 + dt * np.arange(count)
     vals = np.asarray(fn(t), dtype=float)
     if vals.ndim == 1:
         vals = vals[:, None]
-    return TrajectorySample(t0=t0, dt=dt, values=vals, **kwargs)
+    return TrajectorySample(t0=t0, dt=dt, values=vals)
 
 
 def sample_forcing(
     spec: QuasiPeriodicSpec, base_phase: np.ndarray, t0: float, dt: float, count: int
 ) -> TrajectorySample:
     """Sample the forcing term along the base flow."""
-    t = t0 + dt * np.arange(count)
-    theta = spec.phase_at(np.asarray(base_phase, dtype=float), t)
-    return TrajectorySample(t0=t0, dt=dt, values=spec.forcing_form(theta))
-
-
-def bebutov_distance(a: TrajectorySample, b: TrajectorySample, L_grid) -> float:
-    """max over L of min(sup_{|t|<=L} |a-b|, 1/L), on the sampled grid.
-
-    Both samples must share the same symmetric grid around 0.  The true
-    distance takes a sup over every L > 0; here the caller supplies a finite
-    grid of window half-widths.
-    """
-    if (
-        abs(a.t0 - b.t0) > 1e-12
-        or abs(a.dt - b.dt) > 1e-15
-        or len(a) != len(b)
-    ):
-        raise DomainMismatchError("samples must share t0, dt and length")
-    diffs = a.diff_norms(b.values)
-    i_zero = a.index_of(0.0)
-    best = 0.0
-    for L in sorted(L_grid):
-        if L <= 0:
-            raise ValueError("window half-widths must be positive")
-        k = int(math.floor(L / a.dt + 1e-9))
-        lo = max(0, i_zero - k)
-        hi = min(len(a), i_zero + k + 1)
-        best = max(best, min(float(np.max(diffs[lo:hi])), 1.0 / L))
-    return best
+    base_phase = np.asarray(base_phase, dtype=float)
+    return sample_signal(lambda t: spec.forcing_form(spec.phase_at(base_phase, t)), t0, dt, count)
 
 
 @dataclass(frozen=True)
@@ -142,7 +102,8 @@ def scan_almost_periods(
     scan_step: float,
     window_halfwidth: float,
 ) -> AlmostPeriodReport:
-    """List every grid shift tau with sup_{|t|<=L} |traj(t+tau) - traj(t)| < epsilon.
+    """List every grid shift tau with sup_{|t|<=L} |traj(t+tau) - traj(t)| < epsilon,
+    ``|.|`` the Euclidean norm.
 
     Candidate shifts are snapped to the sample grid, so the scan step must be
     an integer multiple of ``traj.dt``.
@@ -170,7 +131,7 @@ def scan_almost_periods(
     periods = []
     for k in ks:
         shifted = traj.values[i_lo + k : i_hi + 1 + k]
-        dev = float(np.max(vector_norm(shifted - base, traj.norm_kind, traj.block)))
+        dev = float(np.max(np.linalg.norm(shifted - base, axis=-1)))
         if dev < epsilon:
             periods.append(k * traj.dt)
     periods_arr = np.array(sorted(periods), dtype=float)
@@ -190,10 +151,3 @@ def _max_gap(periods: np.ndarray, tau_min: float, tau_max: float) -> float:
         return math.inf
     edges = np.concatenate(([tau_min], periods, [tau_max]))
     return float(np.max(np.diff(edges)))
-
-
-def relative_density_gap(report: AlmostPeriodReport) -> float:
-    """Largest interval inside the scan range containing no listed period."""
-    if report.periods.size == 0:
-        return math.inf
-    return report.max_gap

@@ -12,7 +12,6 @@ common fixed point of the return semigroup.
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,7 +22,7 @@ from .cocycle import (
     _as_state,
     affine_map_samples,
 )
-from .errors import SolverError, UncertifiedError
+from .errors import SolverError
 
 _HULL_RANK_TOL = 1e-10
 
@@ -61,13 +60,6 @@ class NearReturnSet:
 
     def __len__(self) -> int:
         return int(self.steps.size)
-
-    def best(self) -> tuple[float, float]:
-        """(tau, delta) of the highest-quality return."""
-        if len(self) == 0:
-            raise ValueError("no near returns recorded")
-        i = int(np.argmin(self.deltas))
-        return float(self.taus[i]), float(self.deltas[i])
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -110,45 +102,21 @@ def find_near_returns(
 _SUMMANDS = 12
 
 
-def compose_returns(
-    sys: CocycleSystem,
-    returns: NearReturnSet,
-    depth: int = 1,
-) -> list[AffineMapSample]:
-    """Affine maps at the return shifts, plus pairwise-sum shifts at depth 1.
+def compose_returns(sys: CocycleSystem, returns: NearReturnSet) -> list[AffineMapSample]:
+    """Affine maps at the return shifts, plus the pairwise sums of the best ones.
 
-    Sums tau_i + tau_j stand in for semigroup compositions; each is marked
-    ``composed`` and carries a ``composition_defect``, the discrepancy
-    between the map evaluated directly at the sum and the naive composition
-    of the two summand maps anchored at the original base point.  Only the
-    ``_SUMMANDS`` best returns feed the sums.
+    Sums tau_i + tau_j of the ``_SUMMANDS`` best returns stand in for
+    semigroup compositions; their maps are evaluated directly at the sum
+    and marked ``composed``.
     """
-    if depth not in (0, 1):
-        raise ValueError("composition depth must be 0 or 1")
     if len(returns) == 0:
         return []
-    picks = np.argsort(returns.deltas, kind="stable")[:_SUMMANDS] if depth else []
-    summands = returns.steps[picks]
-    sums = np.unique(np.add.outer(summands, summands)).tolist()
+    summands = returns.steps[np.argsort(returns.deltas, kind="stable")[:_SUMMANDS]]
+    sums = np.unique(np.add.outer(summands, summands))
     # one march for the base shifts and the sums, which reach twice as far
     maps = affine_map_samples(sys, np.concatenate([returns.steps, sums]) * returns.step)
-    base, direct = maps[: len(returns)], maps[len(returns) :]
-    by_steps = {int(returns.steps[i]): base[i] for i in picks}
-    out = list(base)
-    for total, s in zip(sums, direct):
-        defect = math.inf
-        for first, a in by_steps.items():
-            partner = by_steps.get(total - first)
-            if partner is None:
-                continue
-            Phi_c = partner.Phi @ a.Phi
-            b_c = partner.Phi @ a.b + partner.b
-            d = float(
-                np.linalg.norm(s.Phi - Phi_c) + sys.state_norm(s.b - b_c)
-            )
-            defect = min(defect, d)
-        out.append(replace(s, composition_defect=defect, composed=True))
-    return out
+    n = len(returns)
+    return maps[:n] + [replace(m, composed=True) for m in maps[n:]]
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +138,9 @@ class FavardProblem:
         sys: CocycleSystem,
         anchor,
         returns: NearReturnSet,
-        depth: int = 1,
     ) -> "FavardProblem":
         anchor = _as_state(sys, anchor)
-        maps = compose_returns(sys, returns, depth=depth)
+        maps = compose_returns(sys, returns)
         if not maps:
             raise ValueError("cannot build a problem without near returns")
         hull = np.stack([m.Phi @ anchor + m.b for m in maps if not m.composed])
@@ -517,21 +484,3 @@ def verify_fixed_point(
         verdict="certified" if certified else "inconclusive",
         max_residual=float(residuals.max()) if residuals.size else 0.0,
     )
-
-
-def comparability_from_fixed_point(
-    sys: CocycleSystem,
-    u_bar,
-    report: FixedPointReport,
-    epsilons,
-    horizon: float,
-    **kwargs,
-):
-    """Comparability modulus of a certified fixed point; refuses uncertified input."""
-    if report.verdict != "certified":
-        raise UncertifiedError(
-            "comparability analysis requires a certified fixed point"
-        )
-    from .comparability import estimate_modulus
-
-    return estimate_modulus(sys, u_bar, epsilons, horizon, **kwargs)

@@ -9,7 +9,6 @@ such as ``1 / (2 + cos t + cos sqrt(2) t)``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -245,20 +244,3 @@ class QuasiPeriodicSpec:
             dimension=int(doc.get("dimension", 1)),
             delay_order=int(doc.get("delay_order", 0)),
         )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "QuasiPeriodicSpec":
-        return cls.from_dict(json.loads(text))
-
-
-def eval_base(spec: QuasiPeriodicSpec, phase: np.ndarray, t: float):
-    """Coefficients (A, f) seen at time ``t`` along the base flow from ``phase``."""
-    if not np.isfinite(t):
-        raise ValueError("t must be finite")
-    if spec.time_domain == "discrete" and float(t) != int(t):
-        raise ValueError("discrete-time systems take integer times")
-    theta = spec.phase_at(np.asarray(phase, dtype=float), float(t))
-    return spec.matrix_form(theta), spec.forcing_form(theta)

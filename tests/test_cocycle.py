@@ -153,9 +153,9 @@ class TestDiscreteAndDelay:
         assert out[1] == pytest.approx(u_prev, abs=1e-12)
 
     def test_delay_state_roundtrip_and_norm(self):
-        s = DelayState.from_stacked(np.array([3.0, 4.0]), 1)
-        assert s.norm() == pytest.approx(7.0)
+        s = DelayState((np.array([3.0]), np.array([4.0])))
         np.testing.assert_array_equal(s.stacked(), [3.0, 4.0])
+        assert delay_system().state_norm(s.stacked()) == pytest.approx(7.0)
 
     def test_delay_norm_kind(self):
         sys = delay_system()

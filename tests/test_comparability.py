@@ -9,9 +9,7 @@ from favard import (
     CocycleSystem,
     QuasiPeriodicSpec,
     affine_path,
-    check_sequence_inclusion,
     estimate_modulus,
-    find_near_returns,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -35,18 +33,6 @@ def equilibrium_system():
         "matrix_terms": [{"k": [0], "cos": [[-1.0]], "sin": [[0.0]]}],
         "forcing_terms": [{"k": [0], "cos": [1.0], "sin": [0.0]}],
         "time_domain": "continuous",
-        "dimension": 1,
-    }
-    return CocycleSystem(QuasiPeriodicSpec.from_dict(doc), np.zeros(1))
-
-
-def telescoping_system():
-    c1, s1 = math.cos(1.0), math.sin(1.0)
-    doc = {
-        "frequencies": [1.0],
-        "matrix_terms": [{"k": [0], "cos": [[1.0]], "sin": [[0.0]]}],
-        "forcing_terms": [{"k": [1], "cos": [c1 - 1.0], "sin": [-s1]}],
-        "time_domain": "discrete",
         "dimension": 1,
     }
     return CocycleSystem(QuasiPeriodicSpec.from_dict(doc), np.zeros(1))
@@ -139,41 +125,3 @@ class TestEstimateModulus:
         lines = rep.to_csv().strip().splitlines()
         assert lines[0] == "epsilon,delta,horizon,count"
         assert len(lines) == 3
-
-
-class TestSequenceInclusion:
-    def test_zero_shift_trivially_true(self):
-        ok, worst = check_sequence_inclusion(decay_system(), [0.5], [0.0], 1e-9)
-        assert ok
-        assert worst[0] == 0.0
-
-    def test_equilibrium_any_taus(self):
-        sys = equilibrium_system()
-        ok, _ = check_sequence_inclusion(sys, [1.0], [1.0, 7.3, 42.0], 1e-6)
-        assert ok
-
-    def test_telescoping_near_returns_at_milli_epsilon(self):
-        # returns with base quality < 0.01 move u by |cos tau - 1| < 5e-5
-        sys = telescoping_system()
-        rets = find_near_returns(sys, 0.01, 1000.0)
-        assert len(rets) > 0
-        ok, worst = check_sequence_inclusion(sys, [0.0], rets.taus, 1e-3)
-        assert ok, worst
-
-    def test_worst_offender_reported(self):
-        sys = decay_system()
-        ok, (tau, dev) = check_sequence_inclusion(sys, [0.5], [0.1, math.pi], 1e-6)
-        assert not ok
-        assert tau == pytest.approx(math.pi)
-        assert dev > 0.5
-
-    def test_monotone_in_epsilon(self):
-        sys = decay_system()
-        taus = [2 * math.pi, 4 * math.pi]
-        ok_small, _ = check_sequence_inclusion(sys, [0.5], taus, 1e-7)
-        ok_big, _ = check_sequence_inclusion(sys, [0.5], taus, 1e-3)
-        assert (not ok_small) or ok_big
-
-    def test_unsorted_taus_rejected(self):
-        with pytest.raises(ValueError):
-            check_sequence_inclusion(decay_system(), [0.5], [2.0, 1.0], 0.1)

@@ -84,6 +84,7 @@ class TestScenarioValidation:
             ("delta_cap", math.nan, "delta_cap"),
             ("name", "../../escaped", "name"),
             ("name", ".hidden", "name"),
+            # a field that no longer exists is rejected as unknown
             ("composition_depth", "x", "composition_depth"),
             ("composition_depth", 1.5, "composition_depth"),
             ("almost_periods", {"epsilon": 1.0}, "almost_periods.scan_range"),
@@ -96,6 +97,19 @@ class TestScenarioValidation:
              "system"),
             ("system", [1], "system"),
             ("system", SYSTEM | {"matrix_terms": 5}, "system"),
+            ("almost_periods", AP | {"scan_range": [60.0, 0.0]}, "almost_periods.scan_range"),
+            ("almost_periods", AP | {"scan_range": [-5.0, 60.0]}, "almost_periods.scan_range"),
+            ("almost_periods", AP | {"epsilon": 0.0}, "almost_periods.epsilon"),
+            ("almost_periods", AP | {"window_halfwidth": -1.0}, "almost_periods.window_halfwidth"),
+            ("almost_periods", AP | {"sample_dt": 0.0}, "almost_periods.sample_dt"),
+            ("almost_periods", AP | {"scan_step": 0.015}, "almost_periods.scan_step"),
+            ("almost_periods", AP | {"scan_step": 0.0}, "almost_periods.scan_step"),
+            ("almost_periods", AP | {"sample_dt": 0.02, "scan_step": 0.01}, "almost_periods.scan_step"),
+            ("comparability_horizon", -1.0, "comparability_horizon"),
+            ("comparability_horizon", 0.0, "comparability_horizon"),
+            ("min_tau", -5.0, "min_tau"),
+            ("min_tau", 200.0, "min_tau"),
+            ("min_tau", 500.0, "min_tau"),
         ],
     )
     def test_hostile_input_rejected(self, key, value, field):
@@ -112,6 +126,28 @@ class TestScenarioValidation:
         doc = equilibrium_doc()
         doc["horizon"] = 123.0
         assert Scenario.from_dict(doc).digest() != a.digest()
+
+    def test_min_tau_is_checked_against_the_comparability_horizon(self):
+        doc = equilibrium_doc() | {"comparability_horizon": 50.0, "min_tau": 60.0}
+        with pytest.raises(ConfigError) as exc:
+            Scenario.from_dict(doc)
+        assert exc.value.field == "min_tau"
+        Scenario.from_dict(doc | {"min_tau": 40.0})
+
+    def test_no_aliasing_of_caller_dicts(self):
+        scenario = bundled_scenarios()["equilibrium"]
+        digest = scenario.digest()
+        out = scenario.to_dict()
+        out["system"]["frequencies"] = [2.0]
+        out["seed"]["state"] = [5.0]
+        assert scenario.digest() == digest
+        doc = equilibrium_doc() | {"almost_periods": json.loads(json.dumps(AP))}
+        loaded = Scenario.from_dict(doc)
+        before = loaded.digest()
+        doc["system"]["frequencies"] = [2.0]
+        doc["seed"]["state"] = [5.0]
+        doc["almost_periods"]["epsilon"] = 0.5
+        assert loaded.digest() == before
 
 
 class TestSeeding:
@@ -227,6 +263,15 @@ class TestRunScenario:
             "summary.txt",
         ):
             assert (a.run_dir / name).read_bytes() == (b.run_dir / name).read_bytes(), name
+
+    def test_almost_period_window_off_the_sample_grid_runs(self, tmp_path):
+        # 2 * 20 + 60 is not a whole number of 0.03 steps; the sample still
+        # has to cover the whole window
+        doc = equilibrium_doc() | {"almost_periods": AP | {"sample_dt": 0.03, "scan_step": 0.03}}
+        rec = run_scenario(Scenario.from_dict(doc), tmp_path, quiet=True)
+        assert rec.verdict == "certified", rec.message
+        rows = (rec.run_dir / "almost_periods.csv").read_text().splitlines()
+        assert len(rows) > 1
 
     def test_no_returns_is_inconclusive(self, tmp_path):
         doc = equilibrium_doc()

@@ -10,8 +10,6 @@ from favard import (
     FavardProblem,
     QuasiPeriodicSpec,
     SolverError,
-    UncertifiedError,
-    comparability_from_fixed_point,
     compose_returns,
     default_certificate_tolerance,
     find_near_returns,
@@ -130,19 +128,22 @@ class TestCompositions:
     def test_defect_small_for_near_returns(self):
         sys = telescoping_system()
         rets = find_near_returns(sys, 0.05, 500.0)
-        maps = compose_returns(sys, rets, depth=1)
-        base = [m for m in maps if m.composition_defect == 0.0]
-        comps = [m for m in maps if m.composition_defect > 0.0]
-        assert len(base) == len(rets)
-        assert comps, "depth-1 composition produced no summed shifts"
+        maps = compose_returns(sys, rets)
+        base = [m for m in maps if not m.composed]
+        comps = [m for m in maps if m.composed]
+        np.testing.assert_array_equal([m.tau for m in base], rets.taus)
+        assert comps, "composition produced no summed shifts"
         # translation maps commute exactly: cos(a+b)-1 vs (cos a -1)+(cos b -1)
-        # differ by O(delta^2), so defects stay tiny
-        assert max(m.composition_defect for m in comps) < 1e-2
-
-    def test_depth_zero_keeps_base_only(self):
-        sys = telescoping_system()
-        rets = find_near_returns(sys, 0.05, 500.0)
-        assert len(compose_returns(sys, rets, depth=0)) == len(rets)
+        # differ by O(delta^2), so each sum map is near the composition of
+        # two base maps whose shifts add up to it
+        by_tau = {m.tau: m for m in base}
+        for s in comps:
+            defects = [
+                np.linalg.norm(s.Phi - p.Phi @ a.Phi) + np.linalg.norm(s.b - (p.Phi @ a.b + p.b))
+                for a in base
+                if (p := by_tau.get(s.tau - a.tau)) is not None
+            ]
+            assert defects and min(defects) < 1e-2, s.tau
 
 
 class TestSolveMinmax:
@@ -200,7 +201,7 @@ class TestSolveMinmax:
         sys = telescoping_system()
         rets = find_near_returns(sys, 0.02, 100.0)
         assert len(rets) == 1
-        prob = FavardProblem.from_returns(sys, [1.0], rets, depth=0)
+        prob = FavardProblem.from_returns(sys, [1.0], rets)
         res = solve_minmax(prob)
         assert res.hull_dimension == 0
         # sole hull point: u0 + cos(44) - 1
@@ -285,12 +286,3 @@ class TestFixedPointCertificate:
         rep = verify_fixed_point(sys, res.u_bar, prob.maps, [0.05])
         # every return qualifies at 0.05 and the residuals exceed tolerance
         assert rep.verdict == "inconclusive"
-
-    def test_uncertified_blocks_comparability(self):
-        sys = telescoping_system()
-        rets = find_near_returns(sys, 0.05, 1000.0)
-        prob = FavardProblem.from_returns(sys, [1.0], rets)
-        res = solve_minmax(prob)
-        rep = verify_fixed_point(sys, res.u_bar, prob.maps, [0.05])
-        with pytest.raises(UncertifiedError):
-            comparability_from_fixed_point(sys, res.u_bar, rep, [0.1], 100.0)
