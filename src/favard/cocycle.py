@@ -8,13 +8,16 @@ affineness holds by construction.  Discrete and delay back ends use the
 exact one-step recursion in the same augmented form.
 
 Per-step propagators depend only on the coefficients, so they are built
-in vectorized batches and combined by pairwise products; long horizons
-cost a few batched matmul sweeps instead of a Python loop per step.
+in vectorized batches, chunk by chunk, and combined through a pairwise
+product tree: a march to K shifts over N steps costs N + K log N batched
+matrix products and no Python loop over steps or shifts.  Chunks are sized
+from a byte budget, so peak memory does not grow with the state dimension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -22,7 +25,11 @@ from .errors import BlowUpError, SingularStepError
 from .signals import vector_norm
 from .torus import QuasiPeriodicSpec, reduce_phase
 
-_CHUNK = 200_000
+#: Byte budget of one march chunk.  At its peak a chunk of N steps holds
+#: about 9 N float64 matrices of the augmented size (n+1) x (n+1): the
+#: product tree, the generators at the half steps, and the RK4 stages with
+#: their temporaries.
+_CHUNK_BYTES = 8 << 20
 #: A state whose norm exceeds this factor times ``1 + |start|`` has left the
 #: bounded regime.
 BLOWUP_FACTOR = 1e8
@@ -120,22 +127,26 @@ class DelayState:
 # propagator construction
 
 
-def _generators(sys: CocycleSystem, times: np.ndarray) -> np.ndarray:
-    """Augmented continuous-time generators [[A, f], [0, 0]] at a batch of times."""
+def _augmented(sys: CocycleSystem, times: np.ndarray, corner: float) -> np.ndarray:
+    """Matrices [[A(t), f(t)], [0, corner]] at a batch of times.
+
+    With ``corner`` 0 these are the continuous-time generators, with 1 the
+    exact discrete steps; a delay recursion's rows below the first n shift
+    the stacked history down by one block.
+    """
     theta = sys.spec.phase_at(sys.base_phase, times)
-    A = sys.spec.matrix_form(theta)
-    f = sys.spec.forcing_form(theta)
-    n = sys.state_dim
-    G = np.zeros((times.size, n + 1, n + 1))
-    G[:, :n, :n] = A
-    G[:, :n, n] = f
-    return G
+    n, D = sys.spec.dimension, sys.state_dim
+    M = np.zeros((times.size, D + 1, D + 1))
+    M[:, :n, :D] = sys.spec.matrix_form(theta)
+    M[:, n:D, : D - n] = np.eye(D - n)
+    M[:, :n, D] = sys.spec.forcing_form(theta)
+    M[:, D, D] = corner
+    return M
 
 
 def _continuous_propagators(sys: CocycleSystem, t_start: float, n_steps: int, h: float) -> np.ndarray:
     """One-step RK4 propagators for the augmented system on n_steps steps of size h."""
-    times = t_start + (h / 2.0) * np.arange(2 * n_steps + 1)
-    G = _generators(sys, times)
+    G = _augmented(sys, t_start + (h / 2.0) * np.arange(2 * n_steps + 1), 0.0)
     G0, Gh, G1 = G[0:-1:2], G[1::2], G[2::2]
     d = G.shape[1]
     eye = np.eye(d)
@@ -146,117 +157,102 @@ def _continuous_propagators(sys: CocycleSystem, t_start: float, n_steps: int, h:
     return eye + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
 
 
-def _companion(sys: CocycleSystem, A: np.ndarray) -> np.ndarray:
-    """Stack the delay recursion into a first-order step matrix."""
-    n = sys.spec.dimension
-    D = sys.state_dim
-    N = A.shape[0]
-    C = np.zeros((N, D, D))
-    C[:, :n, :] = A
-    if D > n:
-        C[:, n:, : D - n] = np.eye(D - n)
-    return C
-
-
-def _discrete_propagators(sys: CocycleSystem, t_start: int, n_steps: int) -> np.ndarray:
-    """Exact step matrices [[C(t), F(t)], [0, 1]] for t = t_start .. t_start+n_steps-1."""
-    times = t_start + np.arange(n_steps, dtype=float)
-    theta = sys.spec.phase_at(sys.base_phase, times)
-    A = sys.spec.matrix_form(theta)
-    f = sys.spec.forcing_form(theta)
-    n = sys.spec.dimension
-    D = sys.state_dim
-    S = np.zeros((n_steps, D + 1, D + 1))
-    S[:, :D, :D] = _companion(sys, A)
-    S[:, :n, D] = f
-    S[:, D, D] = 1.0
-    return S
-
-
-def _chain(S: np.ndarray) -> np.ndarray:
-    """Ordered product S[N-1] @ ... @ S[0] by pairwise reduction."""
-    if S.shape[0] == 0:
-        return np.eye(S.shape[-1]) if S.ndim == 3 else np.eye(2)
-    while S.shape[0] > 1:
-        m = S.shape[0] // 2
-        paired = S[1 : 2 * m : 2] @ S[0 : 2 * m : 2]
-        S = np.concatenate([paired, S[2 * m :]]) if S.shape[0] % 2 else paired
-    return S[0]
-
-
-def _build_propagators(sys: CocycleSystem, start: int, count: int) -> np.ndarray:
+def _march_steps(sys: CocycleSystem, pos: int, count: int, sign: int) -> np.ndarray:
+    """Step matrices of march steps pos .. pos+count-1 from time 0, forward
+    (``sign`` 1) or backward (-1): RK4 steps of size ``sign * h``, or the
+    discrete steps, whose backward march inverts those from times -pos-1, -pos-2, ...
+    """
     if sys.continuous:
-        return _continuous_propagators(sys, start * sys.h, count, sys.h)
-    return _discrete_propagators(sys, start, count)
+        return _continuous_propagators(sys, sign * pos * sys.h, count, sign * sys.h)
+    if sign > 0:
+        return _augmented(sys, pos + np.arange(count, dtype=float), 1.0)
+    n = sys.state_dim
+    S = _augmented(sys, -1.0 - pos - np.arange(count), 1.0)
+    singular = np.flatnonzero(np.abs(np.linalg.det(S[:, :n, :n])) < 1e-300)
+    if singular.size:
+        raise SingularStepError(f"step matrix at time {-pos - 1 - singular[0]} is singular")
+    return np.linalg.inv(S)
 
 
-def _split(sys: CocycleSystem, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Whole march steps and the leftover time (zero on the grid) of each time."""
-    n_full = sys.steps(times)
-    rem = times - n_full * sys.step
+def _chunk_steps(d: int) -> int:
+    """March steps per chunk for augmented matrices of size ``d``, at least one."""
+    return max(1, _CHUNK_BYTES // (9 * 8 * d * d))
+
+
+def _prefix_products(build, ends: np.ndarray, d: int) -> np.ndarray:
+    """Ordered products ``S[e-1] @ ... @ S[0]`` for each step count ``e`` in ``ends``.
+
+    ``build(pos, count)`` returns the step matrices ``S[pos:pos + count]``.
+    Per chunk, level k of a pairwise tree holds the products of the aligned
+    blocks of 2**k steps, written into one buffer (N matmuls for N steps).
+    Each end composes the nodes along the binary digits of its offset in the
+    chunk onto the product up to the chunk start, one batched matmul per
+    level over all ends in the chunk (Blelloch 1990).  The result, of shape
+    (K, d, d), is in the order of ``ends``.
+    """
+    order = np.argsort(ends, kind="stable")
+    ends = ends[order]
+    out = np.tile(np.eye(d), (ends.size, 1, 1))
+    lo = int(np.searchsorted(ends, 0, side="right"))
+    last = int(ends[-1]) if ends.size else 0
+    chunk = min(_chunk_steps(d), max(last, 1))
+    tree = np.empty((chunk - 1, d, d))  # level k >= 1 holds chunk >> k nodes
+    carry = np.eye(d)
+    for pos in range(0, last, chunk):
+        count = min(chunk, last - pos)
+        hi = int(np.searchsorted(ends, pos + count, side="right"))
+        levels, used = [build(pos, count)], 0
+        while levels[-1].shape[0] > 1:
+            below, m = levels[-1], levels[-1].shape[0] // 2
+            levels.append(np.matmul(below[1 : 2 * m : 2], below[0 : 2 * m : 2], out=tree[used : used + m]))
+            used += m
+        offsets = np.append(ends[lo:hi] - pos, count)  # the last row carries to the next chunk
+        R = np.repeat(carry[None], offsets.size, axis=0)
+        for k in range(len(levels) - 1, -1, -1):
+            sel = np.flatnonzero(offsets & (1 << k))
+            R[sel] = levels[k][(offsets[sel] >> k) - 1] @ R[sel]  # the node after the higher digits
+        out[order[lo:hi]] = R[:-1]
+        carry, lo = R[-1], hi
+    return out
+
+
+def _path(sys: CocycleSystem, taus: np.ndarray, sign: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """(U, b) at the times ``sign * taus`` (``taus`` >= 0) by one chunked march
+    from time 0; a continuous-time shift off the step grid gets one trailing
+    partial RK4 step."""
+    n_full = sys.steps(taus)
+    rem = taus - n_full * sys.step
     rem[np.abs(rem) < sys.step * 1e-9] = 0.0
     if not sys.continuous and np.any(rem):
         raise ValueError("discrete-time shifts must be integers")
-    return n_full, rem
+    out = _prefix_products(partial(_march_steps, sys, sign=sign), n_full, sys.state_dim + 1)
+    for k in np.flatnonzero(rem):
+        out[k] = _continuous_propagators(sys, sign * n_full[k] * sys.h, 1, sign * rem[k])[0] @ out[k]
+    n = sys.state_dim
+    return out[:, :n, :n], out[:, :n, n]
 
 
 def affine_path(sys: CocycleSystem, taus) -> tuple[np.ndarray, np.ndarray]:
     """Propagator pairs (U(tau), b(tau)) for a batch of nonnegative shifts.
 
-    One chunked forward march visits each distinct step count once, in
-    increasing order; continuous-time shifts that are not grid multiples
-    get a single trailing partial RK4 step.  Returns arrays of shape
-    (K, n, n) and (K, n) in the order of ``taus``.
+    One forward march to the largest shift reads every shift off its chunk's
+    product tree (:func:`_prefix_products`); chunks hold at most
+    ``_CHUNK_BYTES`` of step matrices and their temporaries.  Returns arrays
+    of shape (K, n, n) and (K, n) in the order of ``taus``.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     if np.any(taus < 0):
         raise ValueError("affine_path takes nonnegative shifts")
-    n_full, rem = _split(sys, taus)
-    targets, where = np.unique(n_full, return_inverse=True)
-    d = sys.state_dim + 1
-    at = np.empty((targets.size, d, d))
-
-    M = np.eye(d)
-    done = int(np.searchsorted(targets, 0, side="right"))
-    at[:done] = M
-    last = int(targets[-1]) if targets.size else 0
-    for pos in range(0, last, _CHUNK):
-        count = min(_CHUNK, last - pos)
-        S = _build_propagators(sys, pos, count)
-        local = 0
-        stop = int(np.searchsorted(targets, pos + count, side="right"))
-        for j in range(done, stop):
-            target = int(targets[j]) - pos
-            M = _chain(S[local:target]) @ M
-            local = target
-            at[j] = M
-        done = stop
-        if local < count:
-            M = _chain(S[local:]) @ M
-
-    out = at[where]
-    for k in np.flatnonzero(rem):
-        out[k] = _continuous_propagators(sys, n_full[k] * sys.h, 1, rem[k])[0] @ out[k]
-    n = sys.state_dim
-    return out[:, :n, :n], out[:, :n, n]
+    return _path(sys, taus)
 
 
-def _negative_path(sys: CocycleSystem, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """(U(t), b(t)) for t < 0; continuous by backward RK4, discrete by step inverses."""
-    n = sys.state_dim
-    steps, rem = _split(sys, np.array([-t]))
-    n_full, rem = int(steps[0]), -float(rem[0])
-    if sys.continuous:
-        M = _chain(_continuous_propagators(sys, 0.0, n_full, -sys.h))
-        if rem != 0.0:
-            M = _continuous_propagators(sys, n_full * -sys.h, 1, rem)[0] @ M
-        return M[:n, :n], M[:n, n]
-    S = _discrete_propagators(sys, -n_full, n_full)  # steps -n_full .. -1
-    singular = np.flatnonzero(np.abs(np.linalg.det(S[:, :n, :n])) < 1e-300)
-    if singular.size:
-        raise SingularStepError(f"step matrix at time {singular[-1] - n_full} is singular")
-    M = _chain(np.linalg.inv(S)[::-1])
-    return M[:n, :n], M[:n, n]
+def _path_at(sys: CocycleSystem, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(U(t), b(t)) at one time of either sign."""
+    if t < 0:
+        Phi, b = _path(sys, np.array([-float(t)]), -1)
+    else:
+        Phi, b = affine_path(sys, [float(t)])
+    return Phi[0], b[0]
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +263,7 @@ def fundamental_matrix(sys: CocycleSystem, t: float) -> FundamentalMatrix:
     """Homogeneous propagator U(t) with U(0) = I."""
     if t == 0:
         return FundamentalMatrix(0.0, np.eye(sys.state_dim))
-    if t < 0:
-        U, _ = _negative_path(sys, float(t))
-    else:
-        Phi, _ = affine_path(sys, [float(t)])
-        U = Phi[0]
+    U, _ = _path_at(sys, t)
     if sys.continuous and np.linalg.det(U) <= 0:
         raise BlowUpError("fundamental matrix lost positivity of the determinant", t=t)
     return FundamentalMatrix(float(t), U)
@@ -289,11 +281,7 @@ def _as_state(sys: CocycleSystem, u) -> np.ndarray:
 def evaluate_affine(sys: CocycleSystem, u, t: float) -> np.ndarray:
     """Forced-system state after time ``t`` from initial state ``u``."""
     u = _as_state(sys, u)
-    if t < 0:
-        U, b = _negative_path(sys, float(t))
-    else:
-        Phi, bs = affine_path(sys, [float(t)])
-        U, b = Phi[0], bs[0]
+    U, b = _path_at(sys, t)
     x = U @ u + b
     if not np.all(np.isfinite(x)):
         raise BlowUpError("affine evaluation overflowed", t=t)

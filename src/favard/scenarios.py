@@ -35,6 +35,7 @@ from .solver import (
     solve_minmax,
     verify_fixed_point,
 )
+from .torus import QuasiPeriodicSpec
 
 EXIT_CERTIFIED = 0
 EXIT_ERROR = 1
@@ -57,6 +58,10 @@ _SEED_FIELDS_LONG_RUN = {"long_run"}
 _LONG_RUN_FIELDS = {"start", "burn_in"}
 _AP_REQUIRED = {"epsilon", "window_halfwidth", "scan_range"}
 _AP_FIELDS = _AP_REQUIRED | {"scan_step", "sample_dt"}
+#: Most shifts one scan of a scenario may cover, and most points its
+#: almost-period sample may hold: ``from_dict`` rejects a scenario that asks
+#: for more before any array is sized, so a run's scan memory is bounded.
+_MAX_POINTS = 1_000_000
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -99,7 +104,7 @@ class Scenario:
         if not isinstance(system, dict):
             raise ConfigError("system", "must be a JSON object")
         try:
-            spec = _spec_from_doc(system)  # validate eagerly
+            spec = QuasiPeriodicSpec.from_dict(system)  # validate eagerly
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError("system", str(exc)) from exc
         base_phase = _numbers("base_phase", doc["base_phase"])
@@ -148,6 +153,16 @@ class Scenario:
         h = _number("h", doc.get("h", 1e-3))
         if h <= 0:
             raise ConfigError("h", "must be positive")
+        scan_step = None if doc.get("scan_step") is None else _number("scan_step", doc["scan_step"])
+        march = CocycleSystem(spec, np.array(base_phase), h)
+        spacing = march.stride(scan_step) * march.step  # of the near-return and modulus scans
+        span = (comp_horizon or horizon) - min_tau
+        for field, length in (("horizon", horizon), ("comparability_horizon", span)):
+            if length / spacing > _MAX_POINTS:
+                raise ConfigError(field, f"scans more than {_MAX_POINTS} shifts")
+        if (comp_horizon is not None or min_tau > 0) and march.steps(span) < march.stride(scan_step):
+            raise ConfigError("min_tau" if min_tau > 0 else "comparability_horizon",
+                              "leaves a comparability scan shorter than one scan step")
         eps = _numbers("epsilons", doc["epsilons"])
         if not eps or any(e <= 0 for e in eps):
             raise ConfigError("epsilons", "must be a nonempty list of positive numbers")
@@ -166,7 +181,7 @@ class Scenario:
             horizon=horizon,
             epsilons=eps,
             h=h,
-            scan_step=None if doc.get("scan_step") is None else _number("scan_step", doc["scan_step"]),
+            scan_step=scan_step,
             delta_grid=grid,
             comparability_horizon=comp_horizon,
             min_tau=min_tau,
@@ -211,16 +226,12 @@ def _check_almost_periods(ap: dict, default_dt: float) -> None:
         if num.get(key, default_dt) <= 0:
             raise ConfigError(f"almost_periods.{key}", "must be positive")
     dt = num.get("sample_dt", default_dt)
+    if (2 * num["window_halfwidth"] + scan_range[1]) / dt > _MAX_POINTS:
+        raise ConfigError("almost_periods.sample_dt", f"samples more than {_MAX_POINTS} points")
     step = num.get("scan_step", dt)
     k = round(step / dt)
     if k < 1 or abs(k * dt - step) > 1e-9 * max(1.0, step):
         raise ConfigError("almost_periods.scan_step", "must be a positive whole multiple of sample_dt")
-
-
-def _spec_from_doc(doc: dict):
-    from .torus import QuasiPeriodicSpec
-
-    return QuasiPeriodicSpec.from_dict(doc)
 
 
 @dataclass(frozen=True)
@@ -244,7 +255,7 @@ class RunRecord:
 
 
 def build_system(scenario: Scenario, h_override: float | None = None) -> CocycleSystem:
-    spec = _spec_from_doc(scenario.system)
+    spec = QuasiPeriodicSpec.from_dict(scenario.system)
     h = scenario.h if h_override is None else h_override
     return CocycleSystem(spec=spec, base_phase=np.array(scenario.base_phase), h=h)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,7 +214,8 @@ class TestCocycleAlgebra:
         sys = discrete_system()
         taus = np.random.default_rng(0).permutation([0, 3, 3, 6, 7, 8, 14, 20])
         Phi, b = affine_path(sys, taus)
-        monkeypatch.setattr(favard.cocycle, "_CHUNK", 7)
+        monkeypatch.setattr(favard.cocycle, "_CHUNK_BYTES", 7 * 9 * 8 * 2 * 2)
+        assert favard.cocycle._chunk_steps(2) == 7
         Phi7, b7 = affine_path(sys, taus)
         np.testing.assert_allclose(Phi7, Phi, rtol=0, atol=1e-12)
         np.testing.assert_allclose(b7, b, rtol=0, atol=1e-12)
@@ -223,6 +225,92 @@ class TestCocycleAlgebra:
         samples = affine_map_samples(sys, [2 * math.pi, 1.0])
         assert samples[0].delta == pytest.approx(0.0, abs=1e-9)
         assert samples[1].delta == pytest.approx(1.0)
+
+
+def forced_rotation_system():
+    """Planar x' = [[0, 1], [-1, 0]] x + (cos(sqrt(2) t), 0): neither contracting nor resonant."""
+    doc = {
+        "frequencies": [SQRT2],
+        "matrix_terms": [
+            {"k": [0], "cos": [[0.0, 1.0], [-1.0, 0.0]], "sin": [[0.0, 0.0], [0.0, 0.0]]}
+        ],
+        "forcing_terms": [{"k": [1], "cos": [1.0, 0.0], "sin": [0.0, 0.0]}],
+        "time_domain": "continuous",
+        "dimension": 2,
+    }
+    return CocycleSystem(QuasiPeriodicSpec.from_dict(doc), np.zeros(1))
+
+
+def folded_path(sys, steps):
+    """Reference (U, b) at whole step counts by a sequential left fold M = S[i] @ M."""
+    S = favard.cocycle._march_steps(sys, 0, max(steps), 1)
+    M, at = np.eye(S.shape[-1]), {0: np.eye(S.shape[-1])}
+    for i in range(max(steps)):
+        M = S[i] @ M
+        at[i + 1] = M
+    n = sys.state_dim
+    out = np.array([at[k] for k in steps])
+    return out[:, :n, :n], out[:, :n, n]
+
+
+def assert_relative(got, ref, rtol=1e-12):
+    assert np.max(np.abs(got - ref)) <= rtol * np.max(np.abs(ref))
+
+
+class TestProductTree:
+    """The chunked product tree of ``affine_path`` against a sequential fold."""
+
+    def test_non_contracting_rotation(self):
+        sys = forced_rotation_system()
+        steps = [4000, 1, 2, 3, 1024, 1025, 2047, 3999, 0]
+        Phi, b = affine_path(sys, np.array(steps) * sys.step)
+        Phi_ref, b_ref = folded_path(sys, steps)
+        assert_relative(Phi, Phi_ref)
+        assert_relative(b, b_ref)
+
+    def test_delay_system(self):
+        sys = delay_system()
+        steps = [0, 1, 5, 31, 32, 33, 64, 97, 150]
+        Phi, b = affine_path(sys, steps)
+        Phi_ref, b_ref = folded_path(sys, steps)
+        assert_relative(Phi, Phi_ref)
+        assert_relative(b, b_ref)
+
+    def test_zero_duplicates_off_grid_and_chunk_edges(self, monkeypatch):
+        sys = decay_system()
+        monkeypatch.setattr(favard.cocycle, "_CHUNK_BYTES", 7 * 9 * 8 * 2 * 2)
+        assert favard.cocycle._chunk_steps(2) == 7
+        steps = [15, 0, 6, 7, 7, 8, 13, 14, 14, 21, 22, 30, 0]
+        Phi, b = affine_path(sys, np.append(steps, 15.5) * sys.step)
+        Phi_ref, b_ref = folded_path(sys, steps)
+        assert_relative(Phi[:-1], Phi_ref)
+        assert_relative(b[:-1], b_ref)
+        half = favard.cocycle._continuous_propagators(sys, 15 * sys.h, 1, sys.h / 2)[0]
+        assert_relative(Phi[-1], half[:1, :1] @ Phi_ref[0])
+        assert_relative(b[-1], half[:1, :1] @ b_ref[0] + half[:1, 1])
+
+    def test_peak_memory_is_flat_in_the_state_dimension(self):
+        # n = 8 over 250 time units: the 25,000 results alone take 15.4 MiB,
+        # and the chunk budget is 8 MiB.
+        n = 8
+        rng = np.random.default_rng(0)
+        Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        doc = {
+            "frequencies": [1.0, SQRT2],
+            "matrix_terms": [{"k": [0, 0], "cos": (Q @ np.diag(-rng.uniform(0.5, 2.0, n)) @ Q.T).tolist(),
+                              "sin": np.zeros((n, n)).tolist()}],
+            "forcing_terms": [{"k": [1, 0], "cos": [1.0] * n, "sin": [0.0] * n}],
+            "time_domain": "continuous",
+            "dimension": n,
+        }
+        sys = CocycleSystem(QuasiPeriodicSpec.from_dict(doc), np.zeros(2))
+        tracemalloc.start()
+        try:
+            affine_path(sys, 0.01 * np.arange(1, 25_001))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestBlowUp:

@@ -110,6 +110,10 @@ class TestScenarioValidation:
             ("min_tau", -5.0, "min_tau"),
             ("min_tau", 200.0, "min_tau"),
             ("min_tau", 500.0, "min_tau"),
+            ("min_tau", 199.995, "min_tau"),
+            ("comparability_horizon", 0.005, "comparability_horizon"),
+            ("horizon", 1e7, "horizon"),
+            ("almost_periods", AP | {"sample_dt": 1e-9}, "almost_periods.sample_dt"),
         ],
     )
     def test_hostile_input_rejected(self, key, value, field):
