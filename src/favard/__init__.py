@@ -10,7 +10,6 @@ and comparability-of-recurrence tests.
 __version__ = "0.1.0"
 
 from .cocycle import (
-    AffineMapSample,
     CocycleSystem,
     DelayState,
     FundamentalMatrix,
@@ -32,7 +31,6 @@ from .errors import (
     CoverageError,
     FavardError,
     NearSingularityError,
-    SingularStepError,
     SolverError,
 )
 from .scenarios import (

@@ -35,8 +35,8 @@ def _load_scenario(token: str) -> Scenario:
 
 
 def _run_one(args_tuple) -> int:
-    scenario, out, h, quiet = args_tuple
-    return run_scenario(scenario, out, h_override=h, quiet=quiet).exit_code
+    scenario, out, quiet = args_tuple
+    return run_scenario(scenario, out, quiet=quiet).exit_code
 
 
 def _cmd_run(args) -> int:
@@ -45,7 +45,7 @@ def _cmd_run(args) -> int:
     except (ConfigError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_ERROR
-    jobs = [(s, args.out, args.h, args.quiet) for s in scenarios]
+    jobs = [(s, args.out, args.quiet) for s in scenarios]
     if args.workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             codes = list(pool.map(_run_one, jobs))
@@ -84,7 +84,7 @@ def _cmd_oracle(args) -> int:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_ERROR
     try:
-        system = build_system(scenario, args.h)
+        system = build_system(scenario)
         system, u0 = resolve_seed(system, scenario)
         returns = find_near_returns(
             system, scenario.delta_cap, scenario.horizon, scenario.scan_step
@@ -121,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("scenario", nargs="+", help="bundled scenario name or JSON file")
     p_run.add_argument("--out", default="runs", help="artifact output root (default: runs)")
     p_run.add_argument("--workers", type=int, default=1, help="parallel scenario workers")
-    p_run.add_argument("--h", type=float, default=None, help="integrator step override")
     p_run.add_argument("--quiet", action="store_true", help="suppress progress lines")
     p_run.set_defaults(fn=_cmd_run)
 
@@ -137,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_oracle.add_argument("scenario", help="bundled scenario name or JSON file")
     p_oracle.add_argument("--resolution", type=int, default=201)
-    p_oracle.add_argument("--h", type=float, default=None, help="integrator step override")
     p_oracle.add_argument("--quiet", action="store_true")
     p_oracle.set_defaults(fn=_cmd_oracle)
     return parser

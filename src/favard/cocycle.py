@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import BlowUpError, SingularStepError
+from .errors import BlowUpError
 from .signals import vector_norm
 from .torus import QuasiPeriodicSpec, reduce_phase
 
@@ -103,17 +103,6 @@ class FundamentalMatrix:
 
 
 @dataclass(frozen=True)
-class AffineMapSample:
-    """The affine return map u -> Phi u + b at shift tau, with base-return quality."""
-
-    tau: float
-    Phi: np.ndarray
-    b: np.ndarray
-    delta: float
-    composed: bool = False  # a pairwise-sum shift, not a base return
-
-
-@dataclass(frozen=True)
 class DelayState:
     """History segment (u(t), u(t-1), ..., u(t-r)) of a delay recursion."""
 
@@ -157,21 +146,12 @@ def _continuous_propagators(sys: CocycleSystem, t_start: float, n_steps: int, h:
     return eye + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
 
 
-def _march_steps(sys: CocycleSystem, pos: int, count: int, sign: int) -> np.ndarray:
-    """Step matrices of march steps pos .. pos+count-1 from time 0, forward
-    (``sign`` 1) or backward (-1): RK4 steps of size ``sign * h``, or the
-    discrete steps, whose backward march inverts those from times -pos-1, -pos-2, ...
-    """
+def _march_steps(sys: CocycleSystem, pos: int, count: int) -> np.ndarray:
+    """Step matrices of march steps pos .. pos+count-1 from time 0: RK4
+    steps of size ``h``, or the exact discrete steps."""
     if sys.continuous:
-        return _continuous_propagators(sys, sign * pos * sys.h, count, sign * sys.h)
-    if sign > 0:
-        return _augmented(sys, pos + np.arange(count, dtype=float), 1.0)
-    n = sys.state_dim
-    S = _augmented(sys, -1.0 - pos - np.arange(count), 1.0)
-    singular = np.flatnonzero(np.abs(np.linalg.det(S[:, :n, :n])) < 1e-300)
-    if singular.size:
-        raise SingularStepError(f"step matrix at time {-pos - 1 - singular[0]} is singular")
-    return np.linalg.inv(S)
+        return _continuous_propagators(sys, pos * sys.h, count, sys.h)
+    return _augmented(sys, pos + np.arange(count, dtype=float), 1.0)
 
 
 def _chunk_steps(d: int) -> int:
@@ -216,43 +196,29 @@ def _prefix_products(build, ends: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def _path(sys: CocycleSystem, taus: np.ndarray, sign: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """(U, b) at the times ``sign * taus`` (``taus`` >= 0) by one chunked march
-    from time 0; a continuous-time shift off the step grid gets one trailing
-    partial RK4 step."""
-    n_full = sys.steps(taus)
-    rem = taus - n_full * sys.step
-    rem[np.abs(rem) < sys.step * 1e-9] = 0.0
-    if not sys.continuous and np.any(rem):
-        raise ValueError("discrete-time shifts must be integers")
-    out = _prefix_products(partial(_march_steps, sys, sign=sign), n_full, sys.state_dim + 1)
-    for k in np.flatnonzero(rem):
-        out[k] = _continuous_propagators(sys, sign * n_full[k] * sys.h, 1, sign * rem[k])[0] @ out[k]
-    n = sys.state_dim
-    return out[:, :n, :n], out[:, :n, n]
-
-
 def affine_path(sys: CocycleSystem, taus) -> tuple[np.ndarray, np.ndarray]:
     """Propagator pairs (U(tau), b(tau)) for a batch of nonnegative shifts.
 
     One forward march to the largest shift reads every shift off its chunk's
     product tree (:func:`_prefix_products`); chunks hold at most
-    ``_CHUNK_BYTES`` of step matrices and their temporaries.  Returns arrays
-    of shape (K, n, n) and (K, n) in the order of ``taus``.
+    ``_CHUNK_BYTES`` of step matrices and their temporaries.  A
+    continuous-time shift off the step grid gets one trailing partial RK4
+    step.  Returns arrays of shape (K, n, n) and (K, n) in the order of
+    ``taus``.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     if np.any(taus < 0):
         raise ValueError("affine_path takes nonnegative shifts")
-    return _path(sys, taus)
-
-
-def _path_at(sys: CocycleSystem, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """(U(t), b(t)) at one time of either sign."""
-    if t < 0:
-        Phi, b = _path(sys, np.array([-float(t)]), -1)
-    else:
-        Phi, b = affine_path(sys, [float(t)])
-    return Phi[0], b[0]
+    n_full = sys.steps(taus)
+    rem = taus - n_full * sys.step
+    rem[np.abs(rem) < sys.step * 1e-9] = 0.0
+    if not sys.continuous and np.any(rem):
+        raise ValueError("discrete-time shifts must be integers")
+    out = _prefix_products(partial(_march_steps, sys), n_full, sys.state_dim + 1)
+    for k in np.flatnonzero(rem):
+        out[k] = _continuous_propagators(sys, n_full[k] * sys.h, 1, rem[k])[0] @ out[k]
+    n = sys.state_dim
+    return out[:, :n, :n], out[:, :n, n]
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +226,10 @@ def _path_at(sys: CocycleSystem, t: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fundamental_matrix(sys: CocycleSystem, t: float) -> FundamentalMatrix:
-    """Homogeneous propagator U(t) with U(0) = I."""
+    """Homogeneous propagator U(t) with U(0) = I, at a time ``t >= 0``."""
     if t == 0:
         return FundamentalMatrix(0.0, np.eye(sys.state_dim))
-    U, _ = _path_at(sys, t)
+    U = affine_path(sys, [float(t)])[0][0]
     if sys.continuous and np.linalg.det(U) <= 0:
         raise BlowUpError("fundamental matrix lost positivity of the determinant", t=t)
     return FundamentalMatrix(float(t), U)
@@ -279,24 +245,22 @@ def _as_state(sys: CocycleSystem, u) -> np.ndarray:
 
 
 def evaluate_affine(sys: CocycleSystem, u, t: float) -> np.ndarray:
-    """Forced-system state after time ``t`` from initial state ``u``."""
+    """Forced-system state after time ``t >= 0`` from initial state ``u``."""
     u = _as_state(sys, u)
-    U, b = _path_at(sys, t)
-    x = U @ u + b
+    U, b = affine_path(sys, [float(t)])
+    x = U[0] @ u + b[0]
     if not np.all(np.isfinite(x)):
         raise BlowUpError("affine evaluation overflowed", t=t)
     return x
 
 
-def affine_map_samples(sys: CocycleSystem, taus) -> list[AffineMapSample]:
-    """Return maps with their base-return quality at a batch of shifts, one march for all."""
+def affine_map_samples(sys: CocycleSystem, taus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Return maps ``(Phi, b)`` and their base-return quality ``delta`` at a
+    batch of shifts, one march for all: arrays of shape (K, n, n), (K, n)
+    and (K,) in the order of ``taus``."""
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     Phi, b = affine_path(sys, taus)
-    deltas = np.atleast_1d(sys.spec.base_return_quality(taus))
-    return [
-        AffineMapSample(tau=float(t), Phi=Phi[i], b=b[i], delta=float(deltas[i]))
-        for i, t in enumerate(taus)
-    ]
+    return Phi, b, np.atleast_1d(sys.spec.base_return_quality(taus))
 
 
 def verify_cocycle_identity(sys: CocycleSystem, u, t: float, s: float) -> float:

@@ -4,6 +4,9 @@ The criterion under test: for every epsilon there is a delta such that any
 shift returning the base phase within delta also returns the solution state
 within epsilon.  On finite data the shift range, the scan resolution and the
 candidate delta grid are explicit parameters carried by every report.
+The worst deviation over each delta of the grid is the residual curve of
+the fixed-point certificate, :func:`favard.solver.residual_curve`, read at
+every epsilon.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocycle import CocycleSystem, _as_state, affine_path, check_bounded, evaluate_affine
+from .solver import residual_curve
 
 #: Geometric candidate grid pi, pi/2, ..., pi/2**20 for the modulus search.
 DEFAULT_DELTA_GRID = tuple(math.pi * 0.5**k for k in range(21))
@@ -73,17 +77,13 @@ def estimate_modulus(
     deviations = sys.state_norm(states - u)
     qualities = sys.spec.base_return_quality(taus)
 
-    grid = sorted(delta_grid)
+    grid = np.sort(np.asarray(delta_grid, dtype=float))
+    worst, hits = residual_curve(qualities, deviations, grid)
     deltas, counts = [], []
     for eps in epsilons:
-        best, best_count = 0.0, 0
-        for g in grid:
-            mask = qualities < g
-            hits = int(np.count_nonzero(mask))
-            if hits and bool(np.all(deviations[mask] < eps)):
-                best, best_count = g, hits
-        deltas.append(best)
-        counts.append(best_count)
+        k = max(np.flatnonzero((hits > 0) & (worst < eps)), default=-1)
+        deltas.append(float(grid[k]) if k >= 0 else 0.0)
+        counts.append(int(hits[k]) if k >= 0 else 0)
     return ComparabilityReport(
         epsilons=tuple(float(e) for e in epsilons),
         deltas=tuple(deltas),

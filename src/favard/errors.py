@@ -20,10 +20,6 @@ class CoverageError(FavardError):
     """A trajectory sample does not cover the time window a scan requires."""
 
 
-class SingularStepError(FavardError):
-    """Backward extension of a discrete cocycle hit a non-invertible step matrix."""
-
-
 class BlowUpError(FavardError):
     """A trajectory exceeded the bounded-orbit threshold (or became non-finite)."""
 

@@ -154,6 +154,8 @@ class Scenario:
         if h <= 0:
             raise ConfigError("h", "must be positive")
         scan_step = None if doc.get("scan_step") is None else _number("scan_step", doc["scan_step"])
+        if scan_step is not None and scan_step <= 0:
+            raise ConfigError("scan_step", "must be positive")
         march = CocycleSystem(spec, np.array(base_phase), h)
         spacing = march.stride(scan_step) * march.step  # of the near-return and modulus scans
         span = (comp_horizon or horizon) - min_tau
@@ -254,10 +256,9 @@ class RunRecord:
 # pipeline
 
 
-def build_system(scenario: Scenario, h_override: float | None = None) -> CocycleSystem:
+def build_system(scenario: Scenario) -> CocycleSystem:
     spec = QuasiPeriodicSpec.from_dict(scenario.system)
-    h = scenario.h if h_override is None else h_override
-    return CocycleSystem(spec=spec, base_phase=np.array(scenario.base_phase), h=h)
+    return CocycleSystem(spec=spec, base_phase=np.array(scenario.base_phase), h=scenario.h)
 
 
 def resolve_seed(sys: CocycleSystem, scenario: Scenario) -> tuple[CocycleSystem, np.ndarray]:
@@ -301,13 +302,13 @@ def _allocate_run_dir(out_root: Path, scenario: Scenario) -> Path:
             counter += 1
 
 
-def _analyse(scenario: Scenario, h: float, files: dict, lines: list) -> dict:
+def _analyse(scenario: Scenario, files: dict, lines: list) -> dict:
     """Run the pipeline stages, filling ``files`` and the summary ``lines``.
 
     Returns the outcome's :class:`RunRecord` fields other than the scenario,
     the run directory and the exit code.
     """
-    sys = build_system(scenario, h)
+    sys = build_system(scenario)
     sys, u0 = resolve_seed(sys, scenario)
     returns = find_near_returns(sys, scenario.delta_cap, scenario.horizon, scenario.scan_step)
     files["returns.csv"] = returns.to_csv()
@@ -331,7 +332,7 @@ def _analyse(scenario: Scenario, h: float, files: dict, lines: list) -> dict:
             "scenario_digest": scenario.digest(),
             "delta_cap": scenario.delta_cap,
             "horizon": scenario.horizon,
-            "h": h,
+            "h": scenario.h,
             "optimizer": {
                 "method": "two_stage_lp",
                 "iterations": result.iterations,
@@ -386,7 +387,6 @@ def _analyse(scenario: Scenario, h: float, files: dict, lines: list) -> dict:
 def run_scenario(
     scenario: Scenario,
     out_root: Path | str,
-    h_override: float | None = None,
     quiet: bool = False,
 ) -> RunRecord:
     """Execute the full pipeline and write one artifact directory.
@@ -398,17 +398,16 @@ def run_scenario(
     as in ``EMPTY_PAYLOAD`` and metadata.json holds the traceback.
     """
     run_dir = _allocate_run_dir(Path(out_root), scenario)
-    h = scenario.h if h_override is None else h_override
     meta = {
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "package_version": _pkg_version,
-        "integrator_step": h,
+        "integrator_step": scenario.h,
     }
     files = {"scenario.json": json.dumps(scenario.to_dict(), indent=2, sort_keys=True)}
     files.update(EMPTY_PAYLOAD)
     lines = [f"scenario: {scenario.name}", f"description: {scenario.description}"]
     try:
-        outcome = _analyse(scenario, h, files, lines)
+        outcome = _analyse(scenario, files, lines)
     except Exception as exc:
         files.update(EMPTY_PAYLOAD)
         outcome = {"verdict": "error", "message": f"{type(exc).__name__}: {exc}"}

@@ -1,27 +1,24 @@
 """Distinguished bounded solution via a min-max over near-return maps.
 
-Given the affine return maps ``u -> Phi_k u + b_k`` collected at shifts
-that nearly return the base phase, the candidate distinguished state
-minimizes ``l(u) = max_k |Phi_k u + b_k - u0|`` over the convex hull of
-the return images of the anchor ``u0``, nearest the anchor among
-minimizers: a linear program in the hull weights (see :func:`solve_minmax`).
-A small residual of ``l`` at the minimizer certifies an (approximate)
-common fixed point of the return semigroup.
+The affine return maps ``u -> Phi_k u + b_k`` at shifts that nearly return
+the base phase are held as one stacked table, :class:`ReturnMaps`.  The
+candidate distinguished state minimizes ``l(u) = max_k |Phi_k u + b_k - u0|``
+over the convex hull of the return images of the anchor ``u0``, nearest the
+anchor among minimizers: a linear program in the hull weights (see
+:func:`solve_minmax`).  Small residuals ``|Phi_k u + b_k - u|`` of the base
+returns at the minimizer, read as the curve :func:`residual_curve` over the
+return quality, certify an (approximate) common fixed point of the return
+semigroup.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import (
-    AffineMapSample,
-    CocycleSystem,
-    _as_state,
-    affine_map_samples,
-)
+from .cocycle import CocycleSystem, _as_state, affine_map_samples
 from .errors import SolverError
 
 _HULL_RANK_TOL = 1e-10
@@ -102,21 +99,36 @@ def find_near_returns(
 _SUMMANDS = 12
 
 
-def compose_returns(sys: CocycleSystem, returns: NearReturnSet) -> list[AffineMapSample]:
+@dataclass(frozen=True)
+class ReturnMaps:
+    """Affine return maps ``u -> Phi[k] u + b[k]`` at the shifts ``tau[k]``.
+
+    Arrays of shape (M,), (M, n, n), (M, n) and (M,), with ``delta`` the
+    base-return quality of each shift.  The first ``base`` rows are the base
+    returns; the rest are the pairwise sums of :func:`compose_returns`.
+    """
+
+    tau: np.ndarray
+    Phi: np.ndarray
+    b: np.ndarray
+    delta: np.ndarray
+    base: int
+
+    def __len__(self) -> int:
+        return int(self.tau.size)
+
+
+def compose_returns(sys: CocycleSystem, returns: NearReturnSet) -> ReturnMaps:
     """Affine maps at the return shifts, plus the pairwise sums of the best ones.
 
     Sums tau_i + tau_j of the ``_SUMMANDS`` best returns stand in for
-    semigroup compositions; their maps are evaluated directly at the sum
-    and marked ``composed``.
+    semigroup compositions; their maps are evaluated directly at the sum.
     """
-    if len(returns) == 0:
-        return []
     summands = returns.steps[np.argsort(returns.deltas, kind="stable")[:_SUMMANDS]]
     sums = np.unique(np.add.outer(summands, summands))
     # one march for the base shifts and the sums, which reach twice as far
-    maps = affine_map_samples(sys, np.concatenate([returns.steps, sums]) * returns.step)
-    n = len(returns)
-    return maps[:n] + [replace(m, composed=True) for m in maps[n:]]
+    taus = np.concatenate([returns.steps, sums]) * returns.step
+    return ReturnMaps(taus, *affine_map_samples(sys, taus), base=len(returns))
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +141,7 @@ class FavardProblem:
 
     system: CocycleSystem
     anchor: np.ndarray
-    maps: tuple
+    maps: ReturnMaps
     hull_points: np.ndarray  # (K, n): images of the anchor under base returns
 
     @classmethod
@@ -140,11 +152,11 @@ class FavardProblem:
         returns: NearReturnSet,
     ) -> "FavardProblem":
         anchor = _as_state(sys, anchor)
-        maps = compose_returns(sys, returns)
-        if not maps:
+        if len(returns) == 0:
             raise ValueError("cannot build a problem without near returns")
-        hull = np.stack([m.Phi @ anchor + m.b for m in maps if not m.composed])
-        return cls(system=sys, anchor=anchor, maps=tuple(maps), hull_points=hull)
+        maps = compose_returns(sys, returns)
+        hull = maps.Phi[: maps.base] @ anchor + maps.b[: maps.base]
+        return cls(system=sys, anchor=anchor, maps=maps, hull_points=hull)
 
     def objective(self, u: np.ndarray) -> float:
         """l(u) = max over maps of |Phi u + b - anchor|."""
@@ -154,8 +166,8 @@ class FavardProblem:
         """Vectorized ``objective`` over rows of a (B, n) array."""
         us = np.asarray(us, dtype=float)
         best = np.zeros(us.shape[0])
-        for m in self.maps:
-            r = us @ m.Phi.T + (m.b - self.anchor)
+        for Phi, b in zip(self.maps.Phi, self.maps.b):
+            r = us @ Phi.T + (b - self.anchor)
             np.maximum(best, self.system.state_norm(r), out=best)
         return best
 
@@ -351,7 +363,7 @@ def solve_minmax(
         u_bar, lam, pivots, converged = P.mean(axis=0), np.full(K, 1.0 / K), 0, True
         t_star = problem.objective(u_bar)
     else:
-        R = np.stack([m.Phi @ P.T + (m.b - problem.anchor)[:, None] for m in problem.maps])
+        R = problem.maps.Phi @ P.T + (problem.maps.b - problem.anchor)[:, :, None]
         _, t_star, first, exact = _lp_minimize(R, block, len(R), iterations)
         cap = t_star + TIE_BREAK_SLACK * max(1.0, t_star)
         R = np.concatenate([R, (P - problem.anchor).T[None]])
@@ -412,14 +424,29 @@ def grid_oracle(problem: FavardProblem, resolution: int = 201) -> tuple[np.ndarr
 # fixed-point certificate
 
 
+def residual_curve(qualities, residuals, grid) -> tuple[np.ndarray, np.ndarray]:
+    """Worst residual and count among the shifts of quality below each grid value.
+
+    ``qualities`` and ``residuals`` are arrays with one entry per shift.
+    Shift ``i`` qualifies for ``g`` when ``qualities[i] < g``; a grid value
+    no shift qualifies for gets worst 0 and count 0.  One stable sort by
+    quality and a prefix max serve the whole grid.  Both arrays are in the
+    order of ``grid``.
+    """
+    order = np.argsort(qualities, kind="stable")
+    counts = np.searchsorted(qualities[order], grid, side="left")
+    worst = np.concatenate([[0.0], np.maximum.accumulate(residuals[order])])
+    return worst[counts], counts
+
+
 @dataclass(frozen=True)
 class FixedPointReport:
     """Residual curve r(delta) of a candidate common fixed point.
 
     ``r(delta)`` is the worst return deviation among shifts of base quality
-    below delta; an empty qualifying set contributes 0 by convention, with
-    the honest count recorded alongside.  The curve is nonincreasing by
-    construction (max over shrinking sets).
+    below delta (:func:`residual_curve`); an empty qualifying set
+    contributes 0 by convention, with the honest count recorded alongside.
+    The curve is nonincreasing by construction (max over shrinking sets).
     """
 
     delta_grid: tuple
@@ -461,25 +488,17 @@ def verify_fixed_point(
 ) -> FixedPointReport:
     """Certify ``u_bar`` as a common fixed point of the base return maps."""
     u = _as_state(sys, u_bar)
-    base = [m for m in maps if not m.composed]
     if tolerance is None:
         tolerance = default_certificate_tolerance(sys)
-    deltas = np.array([m.delta for m in base])
-    residuals = np.array(
-        [float(sys.state_norm(m.Phi @ u + m.b - u)) for m in base]
-    )
+    k = maps.base
+    residuals = sys.state_norm(maps.Phi[:k] @ u + maps.b[:k] - u)
     grid = sorted(delta_grid, reverse=True)
-    curve, counts = [], []
-    for g in grid:
-        mask = deltas < g
-        counts.append(int(np.count_nonzero(mask)))
-        curve.append(float(residuals[mask].max()) if counts[-1] else 0.0)
-    populated = any(c > 0 for c in counts)
-    certified = populated and curve[-1] <= tolerance
+    curve, counts = residual_curve(maps.delta[:k], residuals, grid)
+    certified = counts.any() and curve[-1] <= tolerance
     return FixedPointReport(
         delta_grid=tuple(float(g) for g in grid),
-        residuals=tuple(curve),
-        counts=tuple(counts),
+        residuals=tuple(curve.tolist()),
+        counts=tuple(counts.tolist()),
         tolerance=float(tolerance),
         verdict="certified" if certified else "inconclusive",
         max_residual=float(residuals.max()) if residuals.size else 0.0,

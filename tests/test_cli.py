@@ -43,8 +43,12 @@ def test_run_unknown_scenario_errors(tmp_path, capsys):
 
 
 def test_h_override_changes_artifacts(tmp_path):
+    # the scenario file's own h is the integrator step
+    doc = bundled_scenarios()["equilibrium"].to_dict() | {"h": 0.01}
+    path = tmp_path / "coarse.json"
+    path.write_text(json.dumps(doc))
     base = main(["run", "equilibrium", "--out", str(tmp_path / "a"), "--quiet"])
-    coarse = main(["run", "equilibrium", "--out", str(tmp_path / "b"), "--h", "0.01", "--quiet"])
+    coarse = main(["run", str(path), "--out", str(tmp_path / "b"), "--quiet"])
     assert base == 0 and coarse == 0
     meta_a = json.loads(next((tmp_path / "a").glob("*/run-001/metadata.json")).read_text())
     meta_b = json.loads(next((tmp_path / "b").glob("*/run-001/metadata.json")).read_text())

@@ -114,6 +114,8 @@ class TestScenarioValidation:
             ("comparability_horizon", 0.005, "comparability_horizon"),
             ("horizon", 1e7, "horizon"),
             ("almost_periods", AP | {"sample_dt": 1e-9}, "almost_periods.sample_dt"),
+            ("scan_step", -5, "scan_step"),
+            ("scan_step", 0, "scan_step"),
         ],
     )
     def test_hostile_input_rejected(self, key, value, field):

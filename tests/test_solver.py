@@ -4,20 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import favard.comparability
 from favard import (
-    AffineMapSample,
     CocycleSystem,
     FavardProblem,
     QuasiPeriodicSpec,
     SolverError,
     compose_returns,
     default_certificate_tolerance,
+    estimate_modulus,
     find_near_returns,
     grid_oracle,
     solve_minmax,
     verify_fixed_point,
 )
-from favard.solver import TIE_BREAK_SLACK
+from favard.solver import TIE_BREAK_SLACK, ReturnMaps
 
 SQRT2 = math.sqrt(2.0)
 
@@ -54,13 +55,9 @@ def discrete_system(dimension: int, delay_order: int = 0):
 def random_problem(sys, rng, K: int, M: int, phi_scale: float = 1.0) -> FavardProblem:
     """K hull points and M affine maps with Gaussian entries in the state space."""
     N = sys.state_dim
-    maps = tuple(
-        AffineMapSample(
-            tau=float(k + 1), Phi=phi_scale * rng.normal(size=(N, N)),
-            b=rng.normal(size=N), delta=0.0,
-        )
-        for k in range(M)
-    )
+    draws = [(phi_scale * rng.normal(size=(N, N)), rng.normal(size=N)) for _ in range(M)]
+    Phi, b = (np.array(x) for x in zip(*draws))
+    maps = ReturnMaps(tau=np.arange(1.0, M + 1), Phi=Phi, b=b, delta=np.zeros(M), base=M)
     return FavardProblem(
         system=sys, anchor=rng.normal(size=N), maps=maps, hull_points=rng.normal(size=(K, N))
     )
@@ -129,21 +126,21 @@ class TestCompositions:
         sys = telescoping_system()
         rets = find_near_returns(sys, 0.05, 500.0)
         maps = compose_returns(sys, rets)
-        base = [m for m in maps if not m.composed]
-        comps = [m for m in maps if m.composed]
-        np.testing.assert_array_equal([m.tau for m in base], rets.taus)
-        assert comps, "composition produced no summed shifts"
+        k = maps.base
+        np.testing.assert_array_equal(maps.tau[:k], rets.taus)
+        assert len(maps) > k, "composition produced no summed shifts"
         # translation maps commute exactly: cos(a+b)-1 vs (cos a -1)+(cos b -1)
         # differ by O(delta^2), so each sum map is near the composition of
         # two base maps whose shifts add up to it
-        by_tau = {m.tau: m for m in base}
-        for s in comps:
+        by_tau = {t: i for i, t in enumerate(maps.tau[:k])}
+        Phi, b = maps.Phi, maps.b
+        for s in range(k, len(maps)):
             defects = [
-                np.linalg.norm(s.Phi - p.Phi @ a.Phi) + np.linalg.norm(s.b - (p.Phi @ a.b + p.b))
-                for a in base
-                if (p := by_tau.get(s.tau - a.tau)) is not None
+                np.linalg.norm(Phi[s] - Phi[p] @ Phi[a]) + np.linalg.norm(b[s] - (Phi[p] @ b[a] + b[p]))
+                for a in range(k)
+                if (p := by_tau.get(maps.tau[s] - maps.tau[a])) is not None
             ]
-            assert defects and min(defects) < 1e-2, s.tau
+            assert defects and min(defects) < 1e-2, maps.tau[s]
 
 
 class TestSolveMinmax:
@@ -177,9 +174,9 @@ class TestSolveMinmax:
         # so the tie-break alone decides: the anchor clipped to the hull
         rng = np.random.default_rng(7)
         hull = rng.uniform(-1.0, 2.0, size=(5, 1))
-        maps = tuple(
-            AffineMapSample(tau=float(k + 1), Phi=np.zeros((1, 1)), b=rng.normal(size=1), delta=0.0)
-            for k in range(4)
+        maps = ReturnMaps(
+            tau=np.arange(1.0, 5.0), Phi=np.zeros((4, 1, 1)), b=rng.normal(size=(4, 1)),
+            delta=np.zeros(4), base=4,
         )
         prob = FavardProblem(
             system=telescoping_system(), anchor=np.array([anchor]), maps=maps, hull_points=hull
@@ -262,7 +259,7 @@ class TestFixedPointCertificate:
         assert rep.max_residual <= default_certificate_tolerance(sys)
 
     def test_counts_only_base_returns(self):
-        # constant coefficients make every composed map equal its two-leg
+        # constant coefficients make every pairwise-sum map equal its two-leg
         # composition, so its defect is exactly 0.0 like a base map's
         doc = {
             "frequencies": [1.0],
@@ -286,3 +283,67 @@ class TestFixedPointCertificate:
         rep = verify_fixed_point(sys, res.u_bar, prob.maps, [0.05])
         # every return qualifies at 0.05 and the residuals exceed tolerance
         assert rep.verdict == "inconclusive"
+
+
+#: Multiples of 1/8, so a deviation |x| recomputed as a norm is x exactly.
+EIGHTHS = [k / 8 for k in range(25)]
+GRID_VALUES = [0.25, 0.5, 1.0, 1.5, 2.0, 3.0]
+
+
+@st.composite
+def scored_shifts(draw, min_size=0):
+    """Grid, per-shift qualities and residuals, and epsilons, with qualities
+    on grid values, duplicates, empty bins and epsilons equal to residuals."""
+    grid = draw(st.lists(st.sampled_from(GRID_VALUES), min_size=1, max_size=5))
+    size = draw(st.integers(min_size, 12))
+    quality = st.one_of(st.sampled_from(grid), st.sampled_from(EIGHTHS), st.floats(0.0, 4.0))
+    qualities = np.array(draw(st.lists(quality, min_size=size, max_size=size)), dtype=float)
+    residuals = np.array(draw(st.lists(st.sampled_from(EIGHTHS), min_size=size, max_size=size)))
+    eps = st.sampled_from(residuals.tolist() + EIGHTHS)
+    return grid, qualities, residuals, draw(st.lists(eps, min_size=1, max_size=4))
+
+
+class TestResidualCurve:
+    """The certificate and the modulus read one residual curve; each must
+    match the nested loop over the delta grid that it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(scored_shifts())
+    def test_certificate_matches_the_nested_loop(self, case):
+        grid, qualities, residuals, _ = case
+        curve, counts = [], []
+        for g in sorted(grid, reverse=True):
+            mask = qualities < g
+            counts.append(int(np.count_nonzero(mask)))
+            curve.append(float(residuals[mask].max()) if counts[-1] else 0.0)
+        # Phi = 0 and u = 0 make each residual |b_k| exactly
+        K = qualities.size
+        maps = ReturnMaps(tau=np.arange(1.0, K + 1), Phi=np.zeros((K, 1, 1)),
+                          b=residuals[:, None], delta=qualities, base=K)
+        rep = verify_fixed_point(telescoping_system(), [0.0], maps, grid)
+        assert rep.residuals == tuple(curve)
+        assert rep.counts == tuple(counts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(scored_shifts(min_size=1))
+    def test_modulus_matches_the_nested_loop(self, case):
+        grid, qualities, deviations, epsilons = case
+        deltas, counts = [], []
+        for eps in epsilons:
+            best, best_count = 0.0, 0
+            for g in sorted(grid):
+                mask = qualities < g
+                hits = int(np.count_nonzero(mask))
+                if hits and bool(np.all(deviations[mask] < eps)):
+                    best, best_count = g, hits
+            deltas.append(best)
+            counts.append(best_count)
+        # the scan of shifts 1..K sees the drawn qualities and deviations
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(favard.comparability, "affine_path",
+                       lambda sys, taus: (np.zeros((taus.size, 1, 1)), deviations[:, None]))
+            mp.setattr(QuasiPeriodicSpec, "base_return_quality", lambda spec, taus: qualities)
+            rep = estimate_modulus(telescoping_system(), [0.0], epsilons, float(qualities.size),
+                                   delta_grid=grid)
+        assert rep.deltas == tuple(deltas)
+        assert rep.counts == tuple(counts)
