@@ -12,6 +12,9 @@ in vectorized batches, chunk by chunk, and combined through a pairwise
 product tree: a march to K shifts over N steps costs N + K log N batched
 matrix products and no Python loop over steps or shifts.  Chunks are sized
 from a byte budget, so peak memory does not grow with the state dimension.
+The coefficients along each chunk's uniform time grid are read by angle
+addition (:meth:`favard.torus.TrigPolynomial.along_flow`), about
+``4 sqrt(N)`` cos/sin per term for N grid points.
 """
 
 from __future__ import annotations
@@ -23,12 +26,15 @@ import numpy as np
 
 from .errors import BlowUpError
 from .signals import vector_norm
-from .torus import QuasiPeriodicSpec, reduce_phase
+from .torus import FlowGrid, QuasiPeriodicSpec, reduce_phase
 
-#: Byte budget of one march chunk.  At its peak a chunk of N steps holds
-#: about 9 N float64 matrices of the augmented size (n+1) x (n+1): the
-#: product tree, the generators at the half steps, and the RK4 stages with
-#: their temporaries.
+#: Byte budget of one march chunk, counted in step-sized matrices only: at
+#: its peak a chunk of N steps holds about 9 N float64 matrices of the
+#: augmented size d x d (d = n + 1, or n (r + 1) + 1 with delay order r):
+#: the product tree, the generators at the half steps, and the RK4 stages
+#: with their temporaries.  The coefficient values are part of the
+#: generators; the term phasors that produce them are held apart, in blocks
+#: of ``favard.torus._PHASOR_BYTES``, whatever the number of terms.
 _CHUNK_BYTES = 8 << 20
 #: A state whose norm exceeds this factor times ``1 + |start|`` has left the
 #: bounded regime.
@@ -116,26 +122,27 @@ class DelayState:
 # propagator construction
 
 
-def _augmented(sys: CocycleSystem, times: np.ndarray, corner: float) -> np.ndarray:
-    """Matrices [[A(t), f(t)], [0, corner]] at a batch of times.
+def _augmented(sys: CocycleSystem, t0: float, dt: float, count: int, corner: float) -> np.ndarray:
+    """Matrices [[A(t), f(t)], [0, corner]] at the times ``t0 + j*dt``, ``j < count``.
 
     With ``corner`` 0 these are the continuous-time generators, with 1 the
     exact discrete steps; a delay recursion's rows below the first n shift
-    the stacked history down by one block.
+    the stacked history down by one block.  The coefficients are read off
+    the grid by angle addition (:meth:`TrigPolynomial.along_flow`).
     """
-    theta = sys.spec.phase_at(sys.base_phase, times)
+    grid = FlowGrid(sys.spec, sys.base_phase, t0, dt, count)
     n, D = sys.spec.dimension, sys.state_dim
-    M = np.zeros((times.size, D + 1, D + 1))
-    M[:, :n, :D] = sys.spec.matrix_form(theta)
+    M = np.zeros((count, D + 1, D + 1))
+    M[:, :n, :D] = sys.spec.matrix_form.along_flow(grid)
     M[:, n:D, : D - n] = np.eye(D - n)
-    M[:, :n, D] = sys.spec.forcing_form(theta)
+    M[:, :n, D] = sys.spec.forcing_form.along_flow(grid)
     M[:, D, D] = corner
     return M
 
 
 def _continuous_propagators(sys: CocycleSystem, t_start: float, n_steps: int, h: float) -> np.ndarray:
     """One-step RK4 propagators for the augmented system on n_steps steps of size h."""
-    G = _augmented(sys, t_start + (h / 2.0) * np.arange(2 * n_steps + 1), 0.0)
+    G = _augmented(sys, t_start, h / 2.0, 2 * n_steps + 1, 0.0)
     G0, Gh, G1 = G[0:-1:2], G[1::2], G[2::2]
     d = G.shape[1]
     eye = np.eye(d)
@@ -151,7 +158,7 @@ def _march_steps(sys: CocycleSystem, pos: int, count: int) -> np.ndarray:
     steps of size ``h``, or the exact discrete steps."""
     if sys.continuous:
         return _continuous_propagators(sys, pos * sys.h, count, sys.h)
-    return _augmented(sys, pos + np.arange(count, dtype=float), 1.0)
+    return _augmented(sys, float(pos), 1.0, count, 1.0)
 
 
 def _chunk_steps(d: int) -> int:

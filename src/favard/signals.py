@@ -7,9 +7,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CoverageError
-from .torus import QuasiPeriodicSpec
+from .torus import FlowGrid, QuasiPeriodicSpec
+
+#: Byte budget of one block of shifted windows in :func:`scan_almost_periods`.
+_SCAN_BYTES = 4 << 20
 
 
 def vector_norm(values: np.ndarray, kind: str, block: int | None = None) -> np.ndarray:
@@ -71,9 +75,10 @@ def sample_signal(fn, t0: float, dt: float, count: int) -> TrajectorySample:
 def sample_forcing(
     spec: QuasiPeriodicSpec, base_phase: np.ndarray, t0: float, dt: float, count: int
 ) -> TrajectorySample:
-    """Sample the forcing term along the base flow."""
-    base_phase = np.asarray(base_phase, dtype=float)
-    return sample_signal(lambda t: spec.forcing_form(spec.phase_at(base_phase, t)), t0, dt, count)
+    """Sample the forcing term along the base flow at ``t0 + j*dt``, ``j < count``,
+    by angle addition (:meth:`TrigPolynomial.along_flow`)."""
+    grid = FlowGrid(spec, np.asarray(base_phase, dtype=float), t0, dt, count)
+    return TrajectorySample(t0=t0, dt=dt, values=spec.forcing_form.along_flow(grid))
 
 
 @dataclass(frozen=True)
@@ -117,24 +122,18 @@ def scan_almost_periods(
     step_idx = round(scan_step / traj.dt)
     if step_idx < 1 or abs(step_idx * traj.dt - scan_step) > 1e-9 * max(1.0, scan_step):
         raise ValueError("scan_step must be a positive multiple of the sample dt")
-    if traj.t0 > -L + 1e-12 or traj.t_end < L + tau_max - 1e-12:
+    if traj.t0 > min(0.0, tau_min) - L + 1e-12 or traj.t_end < L + tau_max - 1e-12:
         raise CoverageError(
             f"sample [{traj.t0}, {traj.t_end}] cannot support the window "
-            f"[-{L}, {L + tau_max}]"
+            f"[{min(0.0, tau_min) - L}, {L + tau_max}]"
         )
     i_lo = traj.index_of(-L)
     i_hi = traj.index_of(L)
-    base = traj.values[i_lo : i_hi + 1]
     k_lo = int(math.ceil(tau_min / traj.dt - 1e-9))
     k_hi = int(math.floor(tau_max / traj.dt + 1e-9))
-    ks = np.arange(k_lo, k_hi + 1, step_idx)
-    periods = []
-    for k in ks:
-        shifted = traj.values[i_lo + k : i_hi + 1 + k]
-        dev = float(np.max(np.linalg.norm(shifted - base, axis=-1)))
-        if dev < epsilon:
-            periods.append(k * traj.dt)
-    periods_arr = np.array(sorted(periods), dtype=float)
+    shifts = range(k_lo, k_hi + 1, step_idx)
+    close = np.sqrt(_max_square_deviations(traj.values, i_lo, i_hi + 1, shifts)) < epsilon
+    periods_arr = np.array(shifts)[close] * traj.dt
     max_gap = _max_gap(periods_arr, tau_min, tau_max)
     return AlmostPeriodReport(
         epsilon=epsilon,
@@ -144,6 +143,31 @@ def scan_almost_periods(
         scan_range=(tau_min, tau_max),
         scan_step=step_idx * traj.dt,
     )
+
+
+def _max_square_deviations(values: np.ndarray, lo: int, hi: int, shifts: range) -> np.ndarray:
+    """``max_{lo <= i < hi} |values[i + k] - values[i]|^2`` for each ``k`` in
+    the ascending ``shifts``.
+
+    The sample is laid out as (n, N) rows and the shifted windows are strided
+    views of it, taken in blocks of at most ``_SCAN_BYTES``.  Squares are
+    summed over the n rows in order, as ``np.linalg.norm`` sums fewer than
+    eight components, so the square roots of the results equal the per-shift
+    norms bit for bit when n < 8.
+    """
+    rows = np.ascontiguousarray(values.T)
+    windows = sliding_window_view(rows, hi - lo, axis=-1)  # (n, starts, window)
+    base = rows[:, None, lo:hi]
+    per = max(1, _SCAN_BYTES // (8 * windows.shape[0] * windows.shape[2]))
+    buf = np.empty((windows.shape[0], min(per, len(shifts)), windows.shape[2]))
+    out = np.empty(len(shifts))
+    for s in range(0, len(shifts), per):
+        block = shifts[s : s + per]
+        shifted = windows[:, lo + block.start : lo + block.stop : block.step]
+        d = np.subtract(shifted, base, out=buf[:, : len(block)])
+        np.square(d, out=d)
+        out[s : s + len(block)] = np.max(np.add.reduce(d, axis=0), axis=-1)
+    return out
 
 
 def _max_gap(periods: np.ndarray, tau_min: float, tau_max: float) -> float:

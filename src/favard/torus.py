@@ -5,11 +5,18 @@ m-torus evaluated along the linear flow ``theta0 + t*omega (mod 2*pi)``.
 The torus functions are finite trigonometric polynomials, optionally
 wrapped in a reciprocal ``p(theta) / (c + q(theta))`` to cover signals
 such as ``1 / (2 + cos t + cos sqrt(2) t)``.
+
+Along a uniform time grid ``t0 + j*dt`` the coefficients are read by angle
+addition (:meth:`TrigPolynomial.along_flow`): every B-th grid point is a
+reduced torus point from :meth:`QuasiPeriodicSpec.phase_at`, and the points
+between are reached by B fine rotations ``e^{i(k.omega) b dt}``, so a grid
+of N points costs about ``4 sqrt(N)`` cos/sin per term instead of ``2 N``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +26,11 @@ TWO_PI = 2.0 * np.pi
 
 #: Default lower bound on the magnitude of a reciprocal denominator.
 DEFAULT_DENOMINATOR_MARGIN = 1e-6
+#: Byte budget of the term phasors one along-flow evaluation holds at a time,
+#: counted at 32 bytes per point and term: the complex phasor, and its real
+#: and imaginary parts as the contraction copies them.  It keeps the memory
+#: of an evaluation to its output, whatever the number of terms.
+_PHASOR_BYTES = 1 << 20
 
 
 def reduce_phase(theta: np.ndarray) -> np.ndarray:
@@ -71,10 +83,33 @@ class TrigPolynomial:
 
     def __call__(self, theta: np.ndarray) -> np.ndarray:
         """Evaluate at one torus point (m,) or a batch (..., m)."""
-        theta = np.asarray(theta, dtype=float)
-        phase = theta @ self.indices.T  # (..., T)
-        out = np.tensordot(np.cos(phase), self.cos_coeffs, axes=([-1], [0]))
-        out += np.tensordot(np.sin(phase), self.sin_coeffs, axes=([-1], [0]))
+        phase = np.asarray(theta, dtype=float) @ self.indices.T  # (..., T)
+        return self._contract(np.cos(phase), np.sin(phase))
+
+    def _contract(self, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+        """``sum_k cos[..., k] C_k + sin[..., k] S_k``."""
+        out = np.tensordot(cos, self.cos_coeffs, axes=([-1], [0]))
+        out += np.tensordot(sin, self.sin_coeffs, axes=([-1], [0]))
+        return out
+
+    def along_flow(self, grid: "FlowGrid") -> np.ndarray:
+        """Values at the points of ``grid``, shape (count, *value_shape).
+
+        Point ``j = a*B + b`` is coarse node ``a`` turned by ``b`` fine steps:
+        ``e^{ik.theta_j} = e^{ik.theta_a} e^{i(k.omega) b dt}``.  ``B`` is about
+        ``sqrt(count)``, capped so that one node's phasors fit
+        ``_PHASOR_BYTES``; nodes are taken in blocks within that budget.
+        """
+        T = self.indices.shape[0]
+        count = grid.count
+        B = max(1, min(math.isqrt(max(count - 1, 0)) + 1, _PHASOR_BYTES // (32 * T)))
+        fine = np.exp(1j * np.multiply.outer(grid.dt * np.arange(B), self.indices @ grid.spec.frequencies))
+        nodes = grid.nodes(B) @ self.indices.T  # (ceil(count / B), T) phases
+        rows = max(1, _PHASOR_BYTES // (32 * T * B))
+        out = np.empty((count, *self.value_shape))
+        for a in range(0, nodes.shape[0], rows):
+            z = (np.exp(1j * nodes[a : a + rows, None, :]) * fine).reshape(-1, T)[: count - a * B]
+            out[a * B : a * B + z.shape[0]] = self._contract(z.real, z.imag)
         return out
 
     def to_terms(self) -> list[dict]:
@@ -124,12 +159,37 @@ class ReciprocalForcing:
         return self.numerator.value_shape
 
     def __call__(self, theta: np.ndarray) -> np.ndarray:
-        den = self.c + self.q(theta)
+        return self._quotient(lambda form: form(theta))
+
+    def along_flow(self, grid: "FlowGrid") -> np.ndarray:
+        """Values at the points of ``grid``, both polynomials by angle addition."""
+        return self._quotient(lambda form: form.along_flow(grid))
+
+    def _quotient(self, values) -> np.ndarray:
+        """``p / (c + q)`` with ``values(form)`` the values of p and of q."""
+        den = self.c + values(self.q)
         bad = np.min(np.abs(den))
         if bad < self.margin:
             raise NearSingularityError(float(bad), self.margin)
-        num = self.numerator(theta)
+        num = values(self.numerator)
         return num / np.expand_dims(den, tuple(range(np.ndim(den), np.ndim(num))))
+
+
+@dataclass(frozen=True)
+class FlowGrid:
+    """The flow points ``theta(t0 + j*dt)``, ``j < count``, from ``base_phase``."""
+
+    spec: "QuasiPeriodicSpec"
+    base_phase: np.ndarray
+    t0: float
+    dt: float
+    count: int
+
+    def nodes(self, stride: int) -> np.ndarray:
+        """Reduced torus points at every ``stride``-th grid time, shape
+        (ceil(count / stride), m), through :meth:`QuasiPeriodicSpec.phase_at`."""
+        j = stride * np.arange(-(-self.count // stride))
+        return self.spec.phase_at(self.base_phase, self.t0 + self.dt * j)
 
 
 @dataclass(frozen=True)

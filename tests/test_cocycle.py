@@ -300,6 +300,29 @@ class TestProductTree:
             tracemalloc.stop()
         assert peak < 64 * 2**20
 
+    def test_peak_memory_is_flat_in_the_term_count(self):
+        # 200 forcing terms over 60 time units at n = 1: the chunk budget is
+        # 8 MiB, and coefficient evaluation holds its phasors in 1 MiB blocks.
+        rng = np.random.default_rng(1)
+        doc = {
+            "frequencies": [1.0, SQRT2],
+            "matrix_terms": [{"k": [0, 0], "cos": [[-1.0]], "sin": [[0.0]]}],
+            "forcing_terms": [
+                {"k": k.tolist(), "cos": [c], "sin": [s]}
+                for k, c, s in zip(rng.integers(-5, 6, (200, 2)), rng.normal(size=200), rng.normal(size=200))
+            ],
+            "time_domain": "continuous",
+            "dimension": 1,
+        }
+        sys = CocycleSystem(QuasiPeriodicSpec.from_dict(doc), np.zeros(2))
+        tracemalloc.start()
+        try:
+            affine_path(sys, [30.0, 60.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
 
 class TestBlowUp:
     def unstable(self):

@@ -1,8 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import favard.signals
 
 from favard import (
     CoverageError,
@@ -83,6 +86,15 @@ class TestAlmostPeriodScan:
         assert len(lines) == report.periods.size + 1
 
 
+    def test_negative_shifts_need_the_sample_before_the_window(self):
+        values = np.random.default_rng(2).normal(size=(201, 2))
+        covered = make_sample(values, dt=0.1, t0=-8.0)  # [-8, 12]
+        report = scan_almost_periods(covered, 1.5, (-3.0, 4.0), 0.2, 5.0)
+        expected, _ = per_shift_scan(covered, 1.5, (-3.0, 4.0), 0.2, 5.0)
+        np.testing.assert_array_equal(report.periods, expected)
+        with pytest.raises(CoverageError):
+            scan_almost_periods(make_sample(values, dt=0.1, t0=-5.0), 1.5, (-3.0, 4.0), 0.2, 5.0)
+
 @settings(max_examples=30)
 @given(st.floats(0.01, 0.5), st.floats(0.6, 2.0))
 def test_scan_epsilon_inclusion_property(eps_small, eps_big):
@@ -90,3 +102,49 @@ def test_scan_epsilon_inclusion_property(eps_small, eps_big):
     a = scan_almost_periods(traj, eps_small, (0.0, 10.0), 0.05, 5.0)
     b = scan_almost_periods(traj, eps_big, (0.0, 10.0), 0.05, 5.0)
     assert set(np.round(a.periods, 9)) <= set(np.round(b.periods, 9))
+
+
+def per_shift_scan(traj, epsilon, scan_range, scan_step, L):
+    """The scan as one norm per shift: the periods and every deviation."""
+    step_idx = round(scan_step / traj.dt)
+    i_lo, i_hi = traj.index_of(-L), traj.index_of(L)
+    base = traj.values[i_lo : i_hi + 1]
+    k_lo = int(math.ceil(scan_range[0] / traj.dt - 1e-9))
+    k_hi = int(math.floor(scan_range[1] / traj.dt + 1e-9))
+    periods, devs = [], []
+    for k in np.arange(k_lo, k_hi + 1, step_idx):
+        shifted = traj.values[i_lo + k : i_hi + 1 + k]
+        dev = float(np.max(np.linalg.norm(shifted - base, axis=-1)))
+        devs.append(dev)
+        if dev < epsilon:
+            periods.append(k * traj.dt)
+    return np.array(sorted(periods), dtype=float), devs
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 3),
+    st.integers(1, 12),
+    st.integers(0, 10),
+    st.integers(0, 15),
+    st.integers(1, 5),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_batched_scan_equals_the_per_shift_scan(n, step_idx, half, lo, width, per_block, seed, data):
+    # an epsilon equal to a deviation puts that shift on the strict boundary,
+    # so any roundoff in the batched deviations would show
+    dt = 0.25
+    L, scan_range = half * dt, (lo * dt, (lo + width) * dt)
+    count = 2 * half + lo + width + 1 + data.draw(st.integers(0, 3))
+    values = np.random.default_rng(seed).normal(size=(count, n))
+    traj = make_sample(values, dt=dt, t0=-L)
+    _, devs = per_shift_scan(traj, 1.0, scan_range, step_idx * dt, L)
+    epsilon = data.draw(st.sampled_from([d for d in devs if d > 0] or [1.0]))
+    expected, _ = per_shift_scan(traj, epsilon, scan_range, step_idx * dt, L)
+    window = 2 * half + 1
+    with mock.patch.object(favard.signals, "_SCAN_BYTES", 8 * n * window * per_block):
+        report = scan_almost_periods(traj, epsilon, scan_range, step_idx * dt, L)
+    assert report.periods.dtype == expected.dtype
+    np.testing.assert_array_equal(report.periods, expected)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from favard import (
     NearSingularityError,
@@ -13,6 +13,8 @@ from favard import (
     angular_distance,
     reduce_phase,
 )
+import favard.torus
+from favard.torus import FlowGrid
 
 SQRT2 = math.sqrt(2.0)
 
@@ -155,3 +157,98 @@ class TestReciprocalForcing:
         # denominator 2 + cos(pi) + cos(pi) = 0 at theta = (pi, pi)
         with pytest.raises(NearSingularityError):
             r(np.array([np.pi, np.pi]))
+
+
+def spec_over(frequencies, n=1):
+    """A spec carrying only the frequency vector, for along-flow grids."""
+    m = len(frequencies)
+    return QuasiPeriodicSpec(
+        np.asarray(frequencies, dtype=float),
+        TrigPolynomial.constant(np.zeros((n, n)), m),
+        TrigPolynomial.constant(np.zeros(n), m),
+        dimension=n,
+    )
+
+
+#: Grid sizes around the stride B = 40: fewer points than one stride, a whole
+#: square, one point past it, and many rows.
+GRID_COUNTS = [1, 2, 3, 40 * 40, 40 * 40 + 1, 5000]
+
+
+@st.composite
+def flow_polynomials(draw):
+    m = draw(st.integers(1, 3))
+    T = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 3))
+    shape = draw(st.sampled_from([(n,), (n, n)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    omega = rng.uniform(0.1, 2.0, m) * rng.choice([-1.0, 1.0], m)
+    poly = TrigPolynomial(
+        rng.integers(-4, 5, (T, m)), rng.uniform(-2, 2, (T, *shape)), rng.uniform(-2, 2, (T, *shape))
+    )
+    return spec_over(omega), rng.uniform(0, 2 * np.pi, m), poly
+
+
+class TestAlongFlow:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        flow_polynomials(),
+        st.floats(-1e3, 1e3),
+        st.floats(1e-4, 1.0),
+        st.sampled_from(GRID_COUNTS),
+    )
+    def test_matches_the_direct_route(self, drawn, t0, dt, count):
+        spec, base, poly = drawn
+        grid = FlowGrid(spec, base, t0, dt, count)
+        direct = poly(spec.phase_at(base, t0 + dt * np.arange(count)))
+        got = poly.along_flow(grid)
+        assert got.shape == (count, *poly.value_shape)
+        # The direct route rounds t0 + j*dt and t*omega before reducing, an
+        # error of about eps |t omega_i| in each coordinate that angle
+        # addition does not share; beyond it the two agree to 1e-12.
+        t_max = abs(t0) + dt * count
+        spread = np.max(np.abs(poly.indices) @ np.abs(spec.frequencies))
+        scale = 1.0 + np.abs(poly.cos_coeffs).sum() + np.abs(poly.sin_coeffs).sum()
+        tol = (1e-12 + np.finfo(float).eps * t_max * spread) * scale
+        assert np.max(np.abs(got - direct)) <= tol
+        # a k = 0 term gives its constant exactly: its phasors are 1 + 0i
+        zero = np.zeros((1, poly.num_variables), dtype=int)
+        for C, S in zip(poly.cos_coeffs, poly.sin_coeffs):
+            flat = TrigPolynomial(zero, C[None], S[None])
+            np.testing.assert_array_equal(flat.along_flow(grid), np.broadcast_to(C, got.shape))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(-500.0, 0.0),
+        st.floats(1e-4, 0.1),
+        st.sampled_from(GRID_COUNTS),
+        st.sampled_from([1e-9, 1e-3, 1e-2, 5e-2]),
+    )
+    def test_reciprocal_signal_matches_the_direct_route(self, t0, dt, count, margin):
+        # criterion 8's signal 1 / (2 + cos t + cos sqrt(2) t), |t| <= 500
+        rec = TestReciprocalForcing().reciprocal(margin)
+        spec, base = spec_over([1.0, SQRT2]), np.zeros(2)
+        try:
+            direct = rec(spec.phase_at(base, t0 + dt * np.arange(count)))
+        except NearSingularityError:
+            direct = None
+        if direct is None:
+            with pytest.raises(NearSingularityError):
+                rec.along_flow(FlowGrid(spec, base, t0, dt, count))
+        else:
+            got = rec.along_flow(FlowGrid(spec, base, t0, dt, count))
+            assert np.max(np.abs(got - direct) / np.abs(direct)) <= 1e-11
+
+    def test_phasor_blocks_do_not_change_the_values(self, monkeypatch):
+        # a budget of a few phasors per block gives short strides and many blocks
+        spec, base = spec_over([1.0, SQRT2]), np.array([0.3, 1.1])
+        poly = TrigPolynomial(
+            [[1, 0], [0, 1], [2, -1]], [[1.0], [0.5], [-0.25]], [[0.0], [2.0], [0.75]]
+        )
+        grid = FlowGrid(spec, base, -3.0, 0.01, 1001)
+        wide = poly.along_flow(grid)
+        monkeypatch.setattr(favard.torus, "_PHASOR_BYTES", 32 * 3 * 7)
+        narrow = poly.along_flow(grid)
+        direct = poly(spec.phase_at(base, -3.0 + 0.01 * np.arange(1001)))
+        np.testing.assert_allclose(narrow, direct, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(wide, direct, rtol=0, atol=1e-13)
