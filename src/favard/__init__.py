@@ -57,7 +57,6 @@ from .solver import (
     FavardResult,
     FixedPointReport,
     NearReturnSet,
-    compose_returns,
     default_certificate_tolerance,
     find_near_returns,
     grid_oracle,

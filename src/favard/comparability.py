@@ -4,8 +4,9 @@ The criterion under test: for every epsilon there is a delta such that any
 shift returning the base phase within delta also returns the solution state
 within epsilon.  On finite data the shift range, the scan resolution and the
 candidate delta grid are explicit parameters carried by every report.
-The worst deviation over each delta of the grid is the residual curve of
-the fixed-point certificate, :func:`favard.solver.residual_curve`, read at
+The trajectory is read off the analysis's one table of affine maps, and the
+worst deviation over each delta of the grid is the residual curve of the
+fixed-point certificate, :func:`favard.solver.residual_curve`, read at
 every epsilon.
 """
 
@@ -17,8 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import CocycleSystem, _as_state, affine_path, check_bounded, evaluate_affine
-from .solver import residual_curve
+from .cocycle import CocycleSystem, _as_state, check_bounded
+# not called here, but the benchmark's tracer patches these names in this module
+from .cocycle import affine_path, evaluate_affine  # noqa: F401
+from .solver import ReturnMaps, march_maps, residual_curve
 
 #: Geometric candidate grid pi, pi/2, ..., pi/2**20 for the modulus search.
 DEFAULT_DELTA_GRID = tuple(math.pi * 0.5**k for k in range(21))
@@ -46,6 +49,16 @@ class ComparabilityReport:
         return buf.getvalue()
 
 
+def modulus_steps(
+    sys: CocycleSystem, horizon: float, min_tau: float = 0.0, scan_step: float | None = None
+) -> np.ndarray:
+    """Step counts of the trajectory points the modulus reads: the tested
+    point at ``min_tau`` (in whole march steps), then the shifts of the scan
+    grid over ``(0, horizon - min_tau]`` after it."""
+    start = sys.steps(min_tau)
+    return start + np.concatenate([[0], sys.shift_grid(horizon - min_tau, scan_step)])
+
+
 def estimate_modulus(
     sys: CocycleSystem,
     u,
@@ -54,27 +67,29 @@ def estimate_modulus(
     delta_grid=DEFAULT_DELTA_GRID,
     min_tau: float = 0.0,
     scan_step: float | None = None,
+    table: ReturnMaps | None = None,
 ) -> ComparabilityReport:
     """Modulus delta(epsilon) of the recurrence-comparability test.
 
     ``min_tau`` advances the tested point along its own trajectory before
     scanning, so a decaying transient can be excluded; the shift scan then
-    covers (0, horizon - min_tau].  For each epsilon the reported delta is
-    the largest grid value whose qualifying shifts (base quality below
-    delta, at least one of them) all return the state within epsilon; a
-    vacuously satisfied delta with no qualifying shift does not count.
+    covers (0, horizon - min_tau].  The trajectory ``Phi u + b`` is read
+    from ``table`` at :func:`modulus_steps` (by default a march over those
+    steps alone).  For each epsilon the reported delta is the largest grid
+    value whose qualifying shifts (base quality below delta, at least one of
+    them) all return the state within epsilon; a vacuously satisfied delta
+    with no qualifying shift does not count.
     """
     u = _as_state(sys, u)
-    if min_tau > 0:
-        u = evaluate_affine(sys, u, float(min_tau))
-        sys = sys.shifted(float(min_tau))
-    taus = sys.shift_grid(horizon - min_tau, scan_step) * sys.step
-    if taus.size == 0:
+    steps = modulus_steps(sys, horizon, min_tau, scan_step)
+    if steps.size == 1:
         raise ValueError("horizon leaves no shifts to scan")
-    Phi, b = affine_path(sys, taus)
-    states = Phi @ u + b
-    check_bounded(float(np.max(sys.state_norm(states))), float(sys.state_norm(u)), "trajectory")
-    deviations = sys.state_norm(states - u)
+    maps = (march_maps(sys, steps) if table is None else table).rows(steps)
+    states = maps.Phi @ u + maps.b
+    start, states = states[0], states[1:]
+    check_bounded(float(np.max(sys.state_norm(states))), float(sys.state_norm(start)), "trajectory")
+    deviations = sys.state_norm(states - start)
+    taus = (steps[1:] - steps[0]) * sys.step
     qualities = sys.spec.base_return_quality(taus)
 
     grid = np.sort(np.asarray(delta_grid, dtype=float))

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from .cocycle import CocycleSystem, check_bounded, evaluate_affine
-from .comparability import DEFAULT_DELTA_GRID, estimate_modulus
+from .comparability import DEFAULT_DELTA_GRID, estimate_modulus, modulus_steps
 from .errors import ConfigError
 from .signals import sample_forcing, scan_almost_periods
 from .solver import (
@@ -32,6 +32,7 @@ from .solver import (
     FavardResult,
     FixedPointReport,
     find_near_returns,
+    march_maps,
     solve_minmax,
     verify_fixed_point,
 )
@@ -62,6 +63,10 @@ _AP_FIELDS = _AP_REQUIRED | {"scan_step", "sample_dt"}
 #: almost-period sample may hold: ``from_dict`` rejects a scenario that asks
 #: for more before any array is sized, so a run's scan memory is bounded.
 _MAX_POINTS = 1_000_000
+#: Most march steps a run may take, the burn-in plus the longer of the
+#: near-return and comparability horizons, checked the same way: about a
+#: minute of march for a scalar system.
+_MAX_STEPS = 100_000_000
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -162,6 +167,11 @@ class Scenario:
         for field, length in (("horizon", horizon), ("comparability_horizon", span)):
             if length / spacing > _MAX_POINTS:
                 raise ConfigError(field, f"scans more than {_MAX_POINTS} shifts")
+        burn_in = float(seed["long_run"]["burn_in"]) if "long_run" in seed else 0.0
+        longest = max((burn_in, "seed.long_run.burn_in"), (horizon, "horizon"),
+                      (comp_horizon or 0.0, "comparability_horizon"))
+        if (burn_in + max(horizon, comp_horizon or 0.0)) / march.step > _MAX_STEPS:
+            raise ConfigError(longest[1], f"marches more than {_MAX_STEPS} steps")
         if (comp_horizon is not None or min_tau > 0) and march.steps(span) < march.stride(scan_step):
             raise ConfigError("min_tau" if min_tau > 0 else "comparability_horizon",
                               "leaves a comparability scan shorter than one scan step")
@@ -317,7 +327,11 @@ def _analyse(scenario: Scenario, files: dict, lines: list) -> dict:
         return {"verdict": "inconclusive",
                 "message": "no near returns below delta_cap within the horizon"}
 
-    problem = FavardProblem.from_returns(sys, u0, returns)
+    # one march serves the return maps and the comparability scan
+    span = scenario.comparability_horizon or scenario.horizon
+    scan = modulus_steps(sys, span, scenario.min_tau, scenario.scan_step)
+    table = march_maps(sys, np.concatenate([returns.steps, scan]))
+    problem = FavardProblem.from_returns(sys, u0, returns, table)
     result = solve_minmax(problem)
     grid = scenario.delta_grid or DEFAULT_DELTA_GRID
     report = verify_fixed_point(sys, result.u_bar, problem.maps, grid)
@@ -348,18 +362,13 @@ def _analyse(scenario: Scenario, files: dict, lines: list) -> dict:
 
     comp = None
     if report.verdict == "certified":
-        comp = estimate_modulus(
-            sys,
-            result.u_bar,
-            scenario.epsilons,
-            scenario.comparability_horizon or scenario.horizon,
-            delta_grid=grid,
-            min_tau=scenario.min_tau,
-            scan_step=scenario.scan_step,
-        )
+        comp = estimate_modulus(sys, result.u_bar, scenario.epsilons, span, delta_grid=grid,
+                                min_tau=scenario.min_tau, scan_step=scenario.scan_step,
+                                table=table)
         files["comparability.csv"] = comp.to_csv()
         for eps, dlt in zip(comp.epsilons, comp.deltas):
             lines.append(f"delta({eps!r}) = {dlt!r}")
+    del table  # not held through the almost-period scan
 
     if scenario.almost_periods is not None:
         ap = dict(scenario.almost_periods)

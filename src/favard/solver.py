@@ -1,11 +1,13 @@
 """Distinguished bounded solution via a min-max over near-return maps.
 
-The affine return maps ``u -> Phi_k u + b_k`` at shifts that nearly return
-the base phase are held as one stacked table, :class:`ReturnMaps`.  The
-candidate distinguished state minimizes ``l(u) = max_k |Phi_k u + b_k - u0|``
-over the convex hull of the return images of the anchor ``u0``, nearest the
-anchor among minimizers: a linear program in the hull weights (see
-:func:`solve_minmax`).  Small residuals ``|Phi_k u + b_k - u|`` of the base
+The affine maps ``u -> Phi_k u + b_k`` at the shifts an analysis reads are
+held as one stacked table, :class:`ReturnMaps`, filled by one march
+(:func:`march_maps`); the near returns, the certificate and the
+comparability modulus each read their rows from it.  The candidate
+distinguished state minimizes ``l(u) = max_k |Phi_k u + b_k - u0|`` over the
+return maps and the convex hull of the return images of the anchor ``u0``,
+nearest the anchor among minimizers: a linear program in the hull weights
+(see :func:`solve_minmax`).  Small residuals ``|Phi_k u + b_k - u|`` of the
 returns at the minimizer, read as the curve :func:`residual_curve` over the
 return quality, certify an (approximate) common fixed point of the return
 semigroup.
@@ -94,41 +96,38 @@ def find_near_returns(
     )
 
 
-#: Only this many best base returns feed the pairwise sums of
-#: :func:`compose_returns`, keeping the map count quadratic-safe.
-_SUMMANDS = 12
-
-
 @dataclass(frozen=True)
 class ReturnMaps:
-    """Affine return maps ``u -> Phi[k] u + b[k]`` at the shifts ``tau[k]``.
+    """Affine maps ``u -> Phi[k] u + b[k]`` at the shifts of ``steps[k]`` march steps.
 
     Arrays of shape (M,), (M, n, n), (M, n) and (M,), with ``delta`` the
-    base-return quality of each shift.  The first ``base`` rows are the base
-    returns; the rest are the pairwise sums of :func:`compose_returns`.
+    base-return quality of each shift.  :func:`march_maps` fills one such
+    table per analysis; the problem, the certificate and the comparability
+    modulus each read their rows from it through :meth:`rows`.
     """
 
-    tau: np.ndarray
+    steps: np.ndarray
     Phi: np.ndarray
     b: np.ndarray
     delta: np.ndarray
-    base: int
 
     def __len__(self) -> int:
-        return int(self.tau.size)
+        return int(self.steps.size)
+
+    def rows(self, steps) -> "ReturnMaps":
+        """The maps at the step counts ``steps``, in that order; each must be
+        in the table, whose steps are sorted."""
+        steps = np.asarray(steps, dtype=int)
+        idx = np.searchsorted(self.steps, steps)
+        if np.any(idx >= len(self)) or not np.array_equal(self.steps[idx], steps):
+            raise ValueError("shift missing from the table")
+        return ReturnMaps(steps, self.Phi[idx], self.b[idx], self.delta[idx])
 
 
-def compose_returns(sys: CocycleSystem, returns: NearReturnSet) -> ReturnMaps:
-    """Affine maps at the return shifts, plus the pairwise sums of the best ones.
-
-    Sums tau_i + tau_j of the ``_SUMMANDS`` best returns stand in for
-    semigroup compositions; their maps are evaluated directly at the sum.
-    """
-    summands = returns.steps[np.argsort(returns.deltas, kind="stable")[:_SUMMANDS]]
-    sums = np.unique(np.add.outer(summands, summands))
-    # one march for the base shifts and the sums, which reach twice as far
-    taus = np.concatenate([returns.steps, sums]) * returns.step
-    return ReturnMaps(taus, *affine_map_samples(sys, taus), base=len(returns))
+def march_maps(sys: CocycleSystem, steps) -> ReturnMaps:
+    """The table of maps at the distinct step counts in ``steps``, one march."""
+    steps = np.unique(np.asarray(steps, dtype=int))
+    return ReturnMaps(steps, *affine_map_samples(sys, steps * sys.step))
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +141,7 @@ class FavardProblem:
     system: CocycleSystem
     anchor: np.ndarray
     maps: ReturnMaps
-    hull_points: np.ndarray  # (K, n): images of the anchor under base returns
+    hull_points: np.ndarray  # (K, n): images of the anchor under the returns
 
     @classmethod
     def from_returns(
@@ -150,12 +149,15 @@ class FavardProblem:
         sys: CocycleSystem,
         anchor,
         returns: NearReturnSet,
+        table: ReturnMaps | None = None,
     ) -> "FavardProblem":
+        """The problem over the maps at the returns, read from ``table``
+        (by default a march over the returns alone)."""
         anchor = _as_state(sys, anchor)
         if len(returns) == 0:
             raise ValueError("cannot build a problem without near returns")
-        maps = compose_returns(sys, returns)
-        hull = maps.Phi[: maps.base] @ anchor + maps.b[: maps.base]
+        maps = (march_maps(sys, returns.steps) if table is None else table).rows(returns.steps)
+        hull = maps.Phi @ anchor + maps.b
         return cls(system=sys, anchor=anchor, maps=maps, hull_points=hull)
 
     def objective(self, u: np.ndarray) -> float:
@@ -486,14 +488,13 @@ def verify_fixed_point(
     delta_grid,
     tolerance: float | None = None,
 ) -> FixedPointReport:
-    """Certify ``u_bar`` as a common fixed point of the base return maps."""
+    """Certify ``u_bar`` as a common fixed point of the return maps ``maps``."""
     u = _as_state(sys, u_bar)
     if tolerance is None:
         tolerance = default_certificate_tolerance(sys)
-    k = maps.base
-    residuals = sys.state_norm(maps.Phi[:k] @ u + maps.b[:k] - u)
+    residuals = sys.state_norm(maps.Phi @ u + maps.b - u)
     grid = sorted(delta_grid, reverse=True)
-    curve, counts = residual_curve(maps.delta[:k], residuals, grid)
+    curve, counts = residual_curve(maps.delta, residuals, grid)
     certified = counts.any() and curve[-1] <= tolerance
     return FixedPointReport(
         delta_grid=tuple(float(g) for g in grid),

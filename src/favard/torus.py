@@ -237,7 +237,12 @@ class QuasiPeriodicSpec:
                 f"forcing_form values must have shape ({n},), "
                 f"got {self.forcing_form.value_shape}"
             )
-        for form in (self.matrix_form, getattr(self.forcing_form, "numerator", self.forcing_form)):
+        forms = [self.matrix_form, getattr(self.forcing_form, "numerator", self.forcing_form)]
+        if isinstance(self.forcing_form, ReciprocalForcing):
+            forms.append(self.forcing_form.q)
+            if self.forcing_form.q.value_shape not in ((), (1,)):
+                raise ValueError("the reciprocal denominator q must have scalar values")
+        for form in forms:
             if form.num_variables != omega.size:
                 raise ValueError("torus function arity must match the frequency count")
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-import favard.comparability
+import favard.cocycle
 from favard import (
     BlowUpError,
     CocycleSystem,
@@ -11,6 +11,8 @@ from favard import (
     affine_path,
     estimate_modulus,
 )
+from favard.comparability import modulus_steps
+from favard.solver import march_maps
 
 SQRT2 = math.sqrt(2.0)
 GRID = [math.pi * 0.5**k for k in range(21)]
@@ -106,9 +108,10 @@ class TestEstimateModulus:
             scanned.append(np.array(taus))
             return affine_path(sys, taus)
 
-        monkeypatch.setattr(favard.comparability, "affine_path", recording_path)
+        monkeypatch.setattr(favard.cocycle, "affine_path", recording_path)
         rep = estimate_modulus(sys, [1.0], [0.1], 30.0, delta_grid=GRID, scan_step=3)
-        np.testing.assert_array_equal(scanned[0], [3, 6, 9, 12, 15, 18, 21, 24, 27, 30])
+        # the tested point at step 0, then the scan grid
+        np.testing.assert_array_equal(scanned[0], [0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30])
         assert rep.scan_step == 3.0
 
     def test_report_carries_truncation_parameters(self):
@@ -118,6 +121,18 @@ class TestEstimateModulus:
         assert rep.min_tau == 10.0
         assert rep.scan_step == pytest.approx(0.01)
         assert rep.solution_norm_kind == "euclidean"
+
+    @pytest.mark.parametrize("min_tau", [0.0, 10.0])
+    def test_a_shared_table_gives_the_same_report(self, min_tau):
+        # the pipeline's table also holds the near returns, which reach past
+        # the comparability horizon
+        sys = decay_system()
+        steps = modulus_steps(sys, 100.0, min_tau)
+        table = march_maps(sys, np.concatenate([steps, sys.steps([150.0, 200.0])]))
+        args = (sys, [0.5], [0.1, 0.03, 0.01], 100.0, GRID, min_tau)
+        shared = estimate_modulus(*args, table=table)
+        assert shared == estimate_modulus(*args)
+        assert shared.counts[0] > 0
 
     def test_csv_layout(self):
         sys = equilibrium_system()

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+import favard.cocycle
 import favard.scenarios
 from favard import (
     EXIT_ERROR,
     ConfigError,
     Scenario,
+    affine_path,
     build_system,
     bundled_scenarios,
     resolve_seed,
@@ -116,6 +118,13 @@ class TestScenarioValidation:
             ("almost_periods", AP | {"sample_dt": 1e-9}, "almost_periods.sample_dt"),
             ("scan_step", -5, "scan_step"),
             ("scan_step", 0, "scan_step"),
+            # 20,000 shifts, but 2e11 march steps
+            ("h", 1e-9, "horizon"),
+            ("seed", {"long_run": {"start": [0.0], "burn_in": 2e5}}, "seed.long_run.burn_in"),
+            ("system", SYSTEM | {"reciprocal": {"c": 2.0, "q_terms": [
+                {"k": [1, 0, 0], "cos": [1.0], "sin": [0.0]}]}}, "system"),
+            ("system", SYSTEM | {"reciprocal": {"c": 2.0, "q_terms": [
+                {"k": [1], "cos": [1.0, 1.0], "sin": [0.0, 0.0]}]}}, "system"),
         ],
     )
     def test_hostile_input_rejected(self, key, value, field):
@@ -278,6 +287,30 @@ class TestRunScenario:
         assert rec.verdict == "certified", rec.message
         rows = (rec.run_dir / "almost_periods.csv").read_text().splitlines()
         assert len(rows) > 1
+
+    def test_one_march_after_the_burn_in(self, tmp_path, monkeypatch):
+        # the return maps, the certificate and the modulus read one table
+        marched = []
+
+        def recording_path(sys, taus):
+            marched.append(np.atleast_1d(taus))
+            return affine_path(sys, taus)
+
+        monkeypatch.setattr(favard.cocycle, "affine_path", recording_path)
+        scenario = bundled_scenarios()["quasiperiodic-dichotomy"]
+        rec = run_scenario(scenario, tmp_path, quiet=True)
+        assert rec.verdict == "certified", rec.message
+        assert len(marched) == 2
+        assert marched[0].size == 1  # the burn-in
+        assert marched[1].max() == pytest.approx(scenario.horizon)
+
+    def test_discrete_fractional_min_tau_runs(self, tmp_path):
+        # the tested point is taken at whole march steps, here step 2
+        doc = bundled_scenarios()["discrete-dichotomy"].to_dict() | {"min_tau": 2.5}
+        rec = run_scenario(Scenario.from_dict(doc), tmp_path, quiet=True)
+        assert rec.verdict == "certified", rec.message
+        assert rec.comparability.min_tau == 2.5
+        assert all(d > 0 for d in rec.comparability.deltas)
 
     def test_no_returns_is_inconclusive(self, tmp_path):
         doc = equilibrium_doc()

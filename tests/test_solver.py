@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import favard.comparability
 from favard import (
     CocycleSystem,
     FavardProblem,
     QuasiPeriodicSpec,
     SolverError,
-    compose_returns,
+    affine_map_samples,
     default_certificate_tolerance,
     estimate_modulus,
     find_near_returns,
@@ -18,7 +17,8 @@ from favard import (
     solve_minmax,
     verify_fixed_point,
 )
-from favard.solver import TIE_BREAK_SLACK, ReturnMaps
+from favard.comparability import modulus_steps
+from favard.solver import TIE_BREAK_SLACK, ReturnMaps, march_maps
 
 SQRT2 = math.sqrt(2.0)
 
@@ -57,7 +57,7 @@ def random_problem(sys, rng, K: int, M: int, phi_scale: float = 1.0) -> FavardPr
     N = sys.state_dim
     draws = [(phi_scale * rng.normal(size=(N, N)), rng.normal(size=N)) for _ in range(M)]
     Phi, b = (np.array(x) for x in zip(*draws))
-    maps = ReturnMaps(tau=np.arange(1.0, M + 1), Phi=Phi, b=b, delta=np.zeros(M), base=M)
+    maps = ReturnMaps(steps=np.arange(1, M + 1), Phi=Phi, b=b, delta=np.zeros(M))
     return FavardProblem(
         system=sys, anchor=rng.normal(size=N), maps=maps, hull_points=rng.normal(size=(K, N))
     )
@@ -121,26 +121,28 @@ class TestNearReturns:
         assert len(lines) == len(rets) + 1
 
 
-class TestCompositions:
-    def test_defect_small_for_near_returns(self):
-        sys = telescoping_system()
+class TestReturnTable:
+    def test_problem_maps_are_the_return_rows(self):
+        # the pipeline's table also holds the comparability scan; the
+        # problem must take the return rows only, as a march over them gives
+        sys = two_freq_system()
         rets = find_near_returns(sys, 0.05, 500.0)
-        maps = compose_returns(sys, rets)
-        k = maps.base
-        np.testing.assert_array_equal(maps.tau[:k], rets.taus)
-        assert len(maps) > k, "composition produced no summed shifts"
-        # translation maps commute exactly: cos(a+b)-1 vs (cos a -1)+(cos b -1)
-        # differ by O(delta^2), so each sum map is near the composition of
-        # two base maps whose shifts add up to it
-        by_tau = {t: i for i, t in enumerate(maps.tau[:k])}
-        Phi, b = maps.Phi, maps.b
-        for s in range(k, len(maps)):
-            defects = [
-                np.linalg.norm(Phi[s] - Phi[p] @ Phi[a]) + np.linalg.norm(b[s] - (Phi[p] @ b[a] + b[p]))
-                for a in range(k)
-                if (p := by_tau.get(maps.tau[s] - maps.tau[a])) is not None
-            ]
-            assert defects and min(defects) < 1e-2, maps.tau[s]
+        table = march_maps(sys, np.concatenate([rets.steps, modulus_steps(sys, 500.0)]))
+        prob = FavardProblem.from_returns(sys, [0.5], rets, table)
+        assert len(table) > len(rets)
+        assert len(prob.maps) == len(rets)
+        np.testing.assert_array_equal(prob.maps.steps, rets.steps)
+        Phi, b, delta = affine_map_samples(sys, rets.taus)
+        np.testing.assert_allclose(prob.maps.Phi, Phi, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(prob.maps.b, b, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(prob.maps.delta, delta, rtol=0, atol=1e-12)
+
+    def test_missing_shift_is_rejected(self):
+        table = march_maps(telescoping_system(), [0, 2, 4])
+        with pytest.raises(ValueError, match="missing"):
+            table.rows([2, 3])
+        with pytest.raises(ValueError, match="missing"):
+            table.rows([5])
 
 
 class TestSolveMinmax:
@@ -175,8 +177,8 @@ class TestSolveMinmax:
         rng = np.random.default_rng(7)
         hull = rng.uniform(-1.0, 2.0, size=(5, 1))
         maps = ReturnMaps(
-            tau=np.arange(1.0, 5.0), Phi=np.zeros((4, 1, 1)), b=rng.normal(size=(4, 1)),
-            delta=np.zeros(4), base=4,
+            steps=np.arange(1, 5), Phi=np.zeros((4, 1, 1)), b=rng.normal(size=(4, 1)),
+            delta=np.zeros(4),
         )
         prob = FavardProblem(
             system=telescoping_system(), anchor=np.array([anchor]), maps=maps, hull_points=hull
@@ -259,8 +261,8 @@ class TestFixedPointCertificate:
         assert rep.max_residual <= default_certificate_tolerance(sys)
 
     def test_counts_only_base_returns(self):
-        # constant coefficients make every pairwise-sum map equal its two-leg
-        # composition, so its defect is exactly 0.0 like a base map's
+        # the table also holds a comparability scan twice as long as the
+        # return scan, with more shifts below the cap; only the returns count
         doc = {
             "frequencies": [1.0],
             "matrix_terms": [{"k": [0], "cos": [[0.5]], "sin": [[0.0]]}],
@@ -270,10 +272,11 @@ class TestFixedPointCertificate:
         }
         sys = CocycleSystem(QuasiPeriodicSpec.from_dict(doc), np.zeros(1))
         rets = find_near_returns(sys, 0.05, 500.0)
-        prob = FavardProblem.from_returns(sys, [2.0], rets)
-        assert len(prob.maps) > len(rets)
+        table = march_maps(sys, np.concatenate([rets.steps, modulus_steps(sys, 1000.0)]))
+        prob = FavardProblem.from_returns(sys, [2.0], rets, table)
+        assert np.count_nonzero(table.delta < 0.05) > len(rets)
         rep = verify_fixed_point(sys, [2.0], prob.maps, [0.05])
-        assert max(rep.counts) <= len(rets)
+        assert max(rep.counts) == len(rets)
 
     def test_inconclusive_on_coarse_grid(self):
         sys = telescoping_system()
@@ -318,8 +321,8 @@ class TestResidualCurve:
             curve.append(float(residuals[mask].max()) if counts[-1] else 0.0)
         # Phi = 0 and u = 0 make each residual |b_k| exactly
         K = qualities.size
-        maps = ReturnMaps(tau=np.arange(1.0, K + 1), Phi=np.zeros((K, 1, 1)),
-                          b=residuals[:, None], delta=qualities, base=K)
+        maps = ReturnMaps(steps=np.arange(1, K + 1), Phi=np.zeros((K, 1, 1)),
+                          b=residuals[:, None], delta=qualities)
         rep = verify_fixed_point(telescoping_system(), [0.0], maps, grid)
         assert rep.residuals == tuple(curve)
         assert rep.counts == tuple(counts)
@@ -338,12 +341,14 @@ class TestResidualCurve:
                     best, best_count = g, hits
             deltas.append(best)
             counts.append(best_count)
-        # the scan of shifts 1..K sees the drawn qualities and deviations
+        # the scan of shifts 1..K reads the drawn deviations from the table
+        # (Phi = 0, the tested point 0 at step 0) and sees the drawn qualities
+        K = qualities.size
+        table = ReturnMaps(steps=np.arange(K + 1), Phi=np.zeros((K + 1, 1, 1)),
+                           b=np.append(0.0, deviations)[:, None], delta=np.zeros(K + 1))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(favard.comparability, "affine_path",
-                       lambda sys, taus: (np.zeros((taus.size, 1, 1)), deviations[:, None]))
             mp.setattr(QuasiPeriodicSpec, "base_return_quality", lambda spec, taus: qualities)
-            rep = estimate_modulus(telescoping_system(), [0.0], epsilons, float(qualities.size),
-                                   delta_grid=grid)
+            rep = estimate_modulus(telescoping_system(), [0.0], epsilons, float(K),
+                                   delta_grid=grid, table=table)
         assert rep.deltas == tuple(deltas)
         assert rep.counts == tuple(counts)
