@@ -1,4 +1,11 @@
-"""Finite-window signal analysis: sampled paths and almost-period scans."""
+"""Finite-window signal analysis: sampled paths and almost-period scans.
+
+The almost-period scan measures each candidate shift coarse to fine: first
+on every s-th window point (s the integer square root of the window
+length), then on the whole window only for the shifts still below epsilon.
+Both passes compute each point's deviation the same way, so the listed
+periods are exactly those of a full scan of every shift.
+"""
 
 from __future__ import annotations
 
@@ -111,7 +118,9 @@ def scan_almost_periods(
     ``|.|`` the Euclidean norm.
 
     Candidate shifts are snapped to the sample grid, so the scan step must be
-    an integer multiple of ``traj.dt``.
+    an integer multiple of ``traj.dt``.  Shifts that already miss epsilon on
+    a coarse subset of the window are dropped before the full window is
+    measured (:func:`_close_shifts`).
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -131,9 +140,8 @@ def scan_almost_periods(
     i_hi = traj.index_of(L)
     k_lo = int(math.ceil(tau_min / traj.dt - 1e-9))
     k_hi = int(math.floor(tau_max / traj.dt + 1e-9))
-    shifts = range(k_lo, k_hi + 1, step_idx)
-    close = np.sqrt(_max_square_deviations(traj.values, i_lo, i_hi + 1, shifts)) < epsilon
-    periods_arr = np.array(shifts)[close] * traj.dt
+    shifts = np.arange(k_lo, k_hi + 1, step_idx)
+    periods_arr = shifts[_close_shifts(traj.values, i_lo, i_hi + 1, shifts, epsilon)] * traj.dt
     max_gap = _max_gap(periods_arr, tau_min, tau_max)
     return AlmostPeriodReport(
         epsilon=epsilon,
@@ -145,28 +153,42 @@ def scan_almost_periods(
     )
 
 
-def _max_square_deviations(values: np.ndarray, lo: int, hi: int, shifts: range) -> np.ndarray:
-    """``max_{lo <= i < hi} |values[i + k] - values[i]|^2`` for each ``k`` in
-    the ascending ``shifts``.
+def _close_shifts(values: np.ndarray, lo: int, hi: int, shifts: np.ndarray, epsilon: float) -> np.ndarray:
+    """Mask of the ``shifts`` k with ``max_{lo <= i < hi} |values[i + k] - values[i]| < epsilon``.
 
-    The sample is laid out as (n, N) rows and the shifted windows are strided
-    views of it, taken in blocks of at most ``_SCAN_BYTES``.  Squares are
-    summed over the n rows in order, as ``np.linalg.norm`` sums fewer than
-    eight components, so the square roots of the results equal the per-shift
-    norms bit for bit when n < 8.
+    Coarse to fine: every shift is first measured on every s-th window
+    point, ``s = isqrt(hi - lo)``, and only the shifts that still fall below
+    ``epsilon`` there are measured on the whole window.  A maximum over a
+    subset of the window cannot exceed the maximum over all of it, and each
+    point's deviation is computed the same way in both passes, so the mask
+    equals the one-pass mask bit for bit.
+    """
+    close = np.sqrt(_max_square_deviations(values, lo, hi, shifts, math.isqrt(hi - lo))) < epsilon
+    survivors = np.flatnonzero(close)
+    close[survivors] = np.sqrt(_max_square_deviations(values, lo, hi, shifts[survivors], 1)) < epsilon
+    return close
+
+
+def _max_square_deviations(values: np.ndarray, lo: int, hi: int, shifts: np.ndarray, every: int) -> np.ndarray:
+    """``max |values[i + k] - values[i]|^2`` over the window points ``i = lo,
+    lo + every, ... < hi`` for each ``k`` in ``shifts``.
+
+    The sample is laid out as (n, N) rows and the shifted windows are
+    gathered from strided views of it, in blocks of at most ``_SCAN_BYTES``.
+    Squares are summed over the n rows in order, as ``np.linalg.norm`` sums
+    fewer than eight components, so the square roots of the results equal
+    the per-shift norms bit for bit when n < 8.
     """
     rows = np.ascontiguousarray(values.T)
-    windows = sliding_window_view(rows, hi - lo, axis=-1)  # (n, starts, window)
-    base = rows[:, None, lo:hi]
+    windows = sliding_window_view(rows, hi - lo, axis=-1)[:, :, ::every]  # (n, starts, points)
+    base = windows[:, lo, None]
     per = max(1, _SCAN_BYTES // (8 * windows.shape[0] * windows.shape[2]))
-    buf = np.empty((windows.shape[0], min(per, len(shifts)), windows.shape[2]))
     out = np.empty(len(shifts))
     for s in range(0, len(shifts), per):
-        block = shifts[s : s + per]
-        shifted = windows[:, lo + block.start : lo + block.stop : block.step]
-        d = np.subtract(shifted, base, out=buf[:, : len(block)])
+        d = windows[:, lo + shifts[s : s + per]]
+        np.subtract(d, base, out=d)
         np.square(d, out=d)
-        out[s : s + len(block)] = np.max(np.add.reduce(d, axis=0), axis=-1)
+        out[s : s + d.shape[1]] = np.max(np.add.reduce(d, axis=0), axis=-1)
     return out
 
 

@@ -324,6 +324,69 @@ class TestProductTree:
         assert peak < 16 * 2**20
 
 
+def reciprocal_shear_system(h=1e-3):
+    """Planar x' = A(theta) x + p(theta) / (2 + cos theta_1), where A has a
+    k = (1, -1) term, so its values change along the flow."""
+    doc = {
+        "frequencies": [1.0, SQRT2],
+        "matrix_terms": [
+            {"k": [0, 0], "cos": [[-1.0, 0.5], [-0.3, -0.8]], "sin": [[0.0, 0.0], [0.0, 0.0]]},
+            {"k": [1, -1], "cos": [[0.2, -0.1], [0.4, 0.3]], "sin": [[0.1, 0.6], [-0.2, 0.05]]},
+        ],
+        "forcing_terms": [{"k": [0, 1], "cos": [1.0, -0.5], "sin": [0.3, 0.7]}],
+        "reciprocal": {"c": 2.0, "q_terms": [{"k": [1, 0], "cos": [1.0], "sin": [0.0]}]},
+        "time_domain": "continuous",
+        "dimension": 2,
+    }
+    return CocycleSystem(QuasiPeriodicSpec.from_dict(doc), np.array([0.4, 2.1]), h=h)
+
+
+def augmented_rk4_steps(sys, t0, n_steps, h):
+    """Reference RK4 steps of the augmented generator [[A, f], [0, 0]], with
+    the coefficients evaluated pointwise on the torus, one step at a time."""
+    n = sys.state_dim
+    t = t0 + (h / 2) * np.arange(2 * n_steps + 1)
+    theta = sys.spec.phase_at(sys.base_phase, t)
+    G = np.zeros((t.size, n + 1, n + 1))
+    G[:, :n, :n] = sys.spec.matrix_form(theta)
+    G[:, :n, n] = sys.spec.forcing_form(theta)
+    eye = np.eye(n + 1)
+    steps = []
+    for j in range(n_steps):
+        K1 = G[2 * j]
+        K2 = G[2 * j + 1] @ (eye + h / 2 * K1)
+        K3 = G[2 * j + 1] @ (eye + h / 2 * K2)
+        K4 = G[2 * j + 2] @ (eye + h * K3)
+        steps.append(eye + h / 6 * (K1 + 2 * K2 + 2 * K3 + K4))
+    return np.array(steps)
+
+
+class TestBlockFormSteps:
+    """The block-form RK4 steps against the augmented-form step, blockwise."""
+
+    def assert_steps(self, got, ref):
+        n = ref.shape[-1] - 1
+        assert_relative(got[:, :n, :n], ref[:, :n, :n], rtol=1e-14)
+        assert_relative(got[:, :n, n], ref[:, :n, n], rtol=1e-14)
+        np.testing.assert_array_equal(got[:, n], ref[:, n])
+
+    def test_varying_matrix_and_reciprocal_forcing(self):
+        sys = reciprocal_shear_system()
+        got = favard.cocycle._continuous_propagators(sys, 3.7, 500, sys.h)
+        self.assert_steps(got, augmented_rk4_steps(sys, 3.7, 500, sys.h))
+
+    def test_trailing_half_step(self):
+        sys = reciprocal_shear_system()
+        t0 = 12 * sys.h
+        half = favard.cocycle._continuous_propagators(sys, t0, 1, sys.h / 2)
+        ref = augmented_rk4_steps(sys, t0, 1, sys.h / 2)
+        self.assert_steps(half, ref)
+        Phi, b = affine_path(sys, [12.5 * sys.h])
+        Phi_ref, b_ref = folded_path(sys, [12])
+        assert_relative(Phi[0], ref[0, :2, :2] @ Phi_ref[0], rtol=1e-14)
+        assert_relative(b[0], ref[0, :2, :2] @ b_ref[0] + ref[0, :2, 2], rtol=1e-14)
+
+
 class TestBlowUp:
     def unstable(self):
         doc = {

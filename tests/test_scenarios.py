@@ -186,6 +186,25 @@ class TestSeeding:
         assert abs(u1[0] - u0[0]) < 1.0  # both on the bounded orbit
 
 
+#: A scalar discrete recursion (delay order 0, nu = 2.8304) whose bounded
+#: solution has a closed form; its near returns are 202, 313 and 515.
+CLOSE_RETURN_DOC = {
+    "name": "close-return", "description": "scalar discrete recursion, delay order 0",
+    "system": {
+        "frequencies": [2.8304445032954115],
+        "matrix_terms": [{"k": [0], "cos": [[-0.33120273184766386]], "sin": [[0.0]]}],
+        "forcing_terms": [
+            {"k": [1], "cos": [-0.5472985651114961], "sin": [-0.9720362112789174]},
+            {"k": [2], "cos": [0.5553968972211218], "sin": [0.0013456653656775952]},
+        ],
+        "time_domain": "discrete", "dimension": 1, "delay_order": 0,
+    },
+    "base_phase": [1.3875653788563331],
+    "seed": {"long_run": {"start": [0.0], "burn_in": 100}},
+    "horizon": 600.0, "epsilons": [0.1, 0.01], "delta_cap": 0.02007389724029096,
+}
+
+
 class TestRunScenario:
     def test_equilibrium_artifacts(self, tmp_path):
         rec = run_scenario(bundled_scenarios()["equilibrium"], tmp_path, quiet=True)
@@ -224,6 +243,21 @@ class TestRunScenario:
         assert rec.exit_code == 2
         # comparability is refused without a certificate: header-only file
         assert (rec.run_dir / "comparability.csv").read_text() == "epsilon,delta,horizon,count\n"
+
+    def test_close_return_residual_is_of_lipschitz_size(self, tmp_path):
+        rec = run_scenario(Scenario.from_dict(CLOSE_RETURN_DOC), tmp_path, quiet=True)
+        assert rec.u_bar[0] == pytest.approx(0.4173923746797727, abs=1e-12)  # the closed form
+        fixed_point = json.loads((rec.run_dir / "favard.json").read_text())["fixed_point"]
+        assert fixed_point["delta_grid"][-1] < 3.0e-6 and fixed_point["counts"][-1] == 1
+        assert 1e-6 < fixed_point["residuals"][-1] < 1.1e-6
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the return at tau = 313 falls in the smallest delta bin (below 3.0e-6); its residual "
+        "1.06e-6 is the expected Lipschitz size kappa * delta, but the certificate's flat "
+        "tolerance is 1e-9"))
+    def test_close_return_on_the_orbit_certifies(self, tmp_path):
+        rec = run_scenario(Scenario.from_dict(CLOSE_RETURN_DOC), tmp_path, quiet=True)
+        assert rec.verdict == "certified"
 
     def test_run_counter_increments(self, tmp_path):
         scenario = bundled_scenarios()["equilibrium"]

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import favard.signals
 
@@ -104,8 +104,9 @@ def test_scan_epsilon_inclusion_property(eps_small, eps_big):
     assert set(np.round(a.periods, 9)) <= set(np.round(b.periods, 9))
 
 
-def per_shift_scan(traj, epsilon, scan_range, scan_step, L):
-    """The scan as one norm per shift: the periods and every deviation."""
+def per_shift_scan(traj, epsilon, scan_range, scan_step, L, every=1):
+    """The scan as one norm per shift, over every ``every``-th window point:
+    the periods and every deviation."""
     step_idx = round(scan_step / traj.dt)
     i_lo, i_hi = traj.index_of(-L), traj.index_of(L)
     base = traj.values[i_lo : i_hi + 1]
@@ -114,37 +115,49 @@ def per_shift_scan(traj, epsilon, scan_range, scan_step, L):
     periods, devs = [], []
     for k in np.arange(k_lo, k_hi + 1, step_idx):
         shifted = traj.values[i_lo + k : i_hi + 1 + k]
-        dev = float(np.max(np.linalg.norm(shifted - base, axis=-1)))
+        dev = float(np.max(np.linalg.norm((shifted - base)[::every], axis=-1)))
         devs.append(dev)
         if dev < epsilon:
             periods.append(k * traj.dt)
     return np.array(sorted(periods), dtype=float), devs
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
-    st.integers(1, 4),
+    st.integers(1, 3),
     st.integers(1, 3),
     st.integers(1, 12),
-    st.integers(0, 10),
+    st.integers(-10, 10),
     st.integers(0, 15),
     st.integers(1, 5),
     st.integers(0, 2**32 - 1),
+    st.sampled_from(["a deviation", "off the coarse points", "no survivor"]),
     st.data(),
 )
-def test_batched_scan_equals_the_per_shift_scan(n, step_idx, half, lo, width, per_block, seed, data):
+def test_batched_scan_equals_the_per_shift_scan(n, step_idx, half, lo, width, per_block, seed, kind, data):
     # an epsilon equal to a deviation puts that shift on the strict boundary,
-    # so any roundoff in the batched deviations would show
+    # so any roundoff in the batched deviations would show; one reached only
+    # off the coarse points passes the coarse pass and must fail the full one,
+    # and one at the smallest coarse deviation leaves no shift to the full pass
     dt = 0.25
     L, scan_range = half * dt, (lo * dt, (lo + width) * dt)
-    count = 2 * half + lo + width + 1 + data.draw(st.integers(0, 3))
+    window = 2 * half + 1  # odd: not a multiple of an even stride
+    count = window + max(lo + width, 0) - min(lo, 0) + data.draw(st.integers(0, 3))
     values = np.random.default_rng(seed).normal(size=(count, n))
-    traj = make_sample(values, dt=dt, t0=-L)
+    traj = make_sample(values, dt=dt, t0=min(lo, 0) * dt - L)
     _, devs = per_shift_scan(traj, 1.0, scan_range, step_idx * dt, L)
-    epsilon = data.draw(st.sampled_from([d for d in devs if d > 0] or [1.0]))
+    _, coarse = per_shift_scan(traj, 1.0, scan_range, step_idx * dt, L, every=math.isqrt(window))
+    candidates = {
+        "a deviation": [d for d in devs if d > 0] or [1.0],
+        "off the coarse points": [d for d, c in zip(devs, coarse) if d > c],
+        "no survivor": [min(coarse)] if min(coarse) > 0 else [],
+    }[kind]
+    assume(candidates)
+    epsilon = data.draw(st.sampled_from(candidates))
     expected, _ = per_shift_scan(traj, epsilon, scan_range, step_idx * dt, L)
-    window = 2 * half + 1
     with mock.patch.object(favard.signals, "_SCAN_BYTES", 8 * n * window * per_block):
         report = scan_almost_periods(traj, epsilon, scan_range, step_idx * dt, L)
     assert report.periods.dtype == expected.dtype
     np.testing.assert_array_equal(report.periods, expected)
+    if kind == "no survivor":
+        assert report.periods.size == 0
