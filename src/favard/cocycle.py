@@ -4,20 +4,23 @@ The continuous-time back end marches the augmented propagator
 ``M(t) = [[U(t), b(t)], [0, 1]]`` with classical fixed-step RK4, where
 ``U`` solves the homogeneous matrix equation and ``b(t)`` is the forced
 response from 0.  Every affine evaluation is then ``U(t) u + b(t)``, so
-affineness holds by construction.  The RK4 stages are formed in block form,
-a matrix block and a vector block per stage, since the generator
-``[[A, f], [0, 0]]`` has a zero bottom row; only the finished step is
-written in augmented form.  Discrete and delay back ends use the exact
-one-step recursion in the same augmented form.
+affineness holds by construction.  The bottom row ``[0 ... 0 1]`` never
+changes, so steps and products are held as their top rows ``[U | b]``, of
+shape (n, n + 1), and composed by :func:`_then`: one matmul and one add of
+the last column.  The RK4 stages are formed in block form, a matrix block
+and a vector block per stage, since the generator ``[[A, f], [0, 0]]`` has
+a zero bottom row.  Discrete and delay back ends use the exact one-step
+recursion in the same top-row form.
 
 Per-step propagators depend only on the coefficients, so they are built
 in vectorized batches, chunk by chunk, and combined through a pairwise
 product tree: a march to K shifts over N steps costs N + K log N batched
-matrix products and no Python loop over steps or shifts.  Chunks are sized
+compositions and no Python loop over steps or shifts.  Chunks are sized
 from a byte budget, so peak memory does not grow with the state dimension.
 The coefficients along each chunk's uniform time grid are read by angle
 addition (:meth:`favard.torus.TrigPolynomial.along_flow`), about
-``4 sqrt(N)`` cos/sin per term for N grid points.
+``4 sqrt(N)`` cos/sin per term for N grid points, and summed over the terms
+by one real matrix product per block of grid nodes.
 """
 
 from __future__ import annotations
@@ -31,15 +34,15 @@ from .errors import BlowUpError
 from .signals import vector_norm
 from .torus import FlowGrid, QuasiPeriodicSpec, reduce_phase
 
-#: Byte budget of one march chunk, counted in step-sized matrices only: at
-#: its peak a chunk of N steps holds at most about 9 N float64 matrices of
-#: the augmented size d x d (d = n + 1, or n (r + 1) + 1 with delay order r):
-#: the product tree, the step stack, and the coefficient and RK4 stage
-#: blocks at the half steps with their temporaries.  Those blocks are n x n
-#: and n, so for small n the peak is lower (by ``tracemalloc``: about 6.3 N
-#: at n = 1, 7.3 N at n = 2, 9.1 N at n = 8).  The term phasors that produce
-#: the coefficients are held apart, in blocks of
-#: ``favard.torus._PHASOR_BYTES``, whatever the number of terms.
+#: Byte budget of one march chunk, counted in step-sized matrices only: a
+#: chunk of N steps is sized as 9 N float64 matrices of the augmented size
+#: d x d (d = n + 1, or n (r + 1) + 1 with delay order r).  Its peak is lower,
+#: since the product tree and the step stack hold only the top rows n x d,
+#: next to the coefficient and RK4 stage blocks at the half steps and their
+#: temporaries: by ``tracemalloc`` over a three-chunk march, about 4.8 N at
+#: n = 1, 6.3 N at n = 2 and 8.8 N at n = 8.  The blocks that produce the
+#: coefficients are held apart, within ``favard.torus._PHASOR_BYTES``,
+#: whatever the number of terms.
 _CHUNK_BYTES = 8 << 20
 #: A state whose norm exceeds this factor times ``1 + |start|`` has left the
 #: bounded regime.
@@ -128,7 +131,7 @@ class DelayState:
 
 
 def _augmented(sys: CocycleSystem, t0: float, count: int) -> np.ndarray:
-    """Exact discrete steps [[A(t), f(t)], [0, 1]] at the times ``t0 + j``, ``j < count``.
+    """Exact discrete steps as top rows [A(t) | f(t)] at the times ``t0 + j``, ``j < count``.
 
     A delay recursion's rows below the first n shift the stacked history
     down by one block.  The coefficients are read off the grid by angle
@@ -136,17 +139,16 @@ def _augmented(sys: CocycleSystem, t0: float, count: int) -> np.ndarray:
     """
     grid = FlowGrid(sys.spec, sys.base_phase, t0, 1.0, count)
     n, D = sys.spec.dimension, sys.state_dim
-    M = np.zeros((count, D + 1, D + 1))
+    M = np.zeros((count, D, D + 1))
     M[:, :n, :D] = sys.spec.matrix_form.along_flow(grid)
-    M[:, n:D, : D - n] = np.eye(D - n)
+    M[:, n:, : D - n] = np.eye(D - n)
     M[:, :n, D] = sys.spec.forcing_form.along_flow(grid)
-    M[:, D, D] = 1.0
     return M
 
 
 def _continuous_propagators(sys: CocycleSystem, t_start: float, n_steps: int, h: float) -> np.ndarray:
-    """One-step RK4 propagators [[P, q], [0, 1]] of the augmented system on
-    n_steps steps of size h.
+    """One-step RK4 propagators as top rows [P | q] of the augmented system
+    on n_steps steps of size h, shape (n_steps, n, n + 1).
 
     The generator [[A, f], [0, 0]] has a zero bottom row, so each RK4 stage
     is a block pair: from ``X = (U, b)`` the next stage is ``(A U, A b + f)``
@@ -166,10 +168,9 @@ def _continuous_propagators(sys: CocycleSystem, t_start: float, n_steps: int, h:
     U2, b2 = stage(slice(1, None, 2), h / 2.0, U1, b1)
     U3, b3 = stage(slice(1, None, 2), h / 2.0, U2, b2)
     U4, b4 = stage(slice(2, None, 2), h, U3, b3)
-    out = np.zeros((n_steps, n + 1, n + 1))
-    out[:, :n, :n] = eye + (h / 6.0) * (U1 + 2.0 * U2 + 2.0 * U3 + U4)
-    out[:, :n, n] = (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-    out[:, n, n] = 1.0
+    out = np.empty((n_steps, n, n + 1))
+    out[:, :, :n] = eye + (h / 6.0) * (U1 + 2.0 * U2 + 2.0 * U3 + U4)
+    out[:, :, n] = (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
     return out
 
 
@@ -186,38 +187,53 @@ def _chunk_steps(d: int) -> int:
     return max(1, _CHUNK_BYTES // (9 * 8 * d * d))
 
 
-def _prefix_products(build, ends: np.ndarray, d: int) -> np.ndarray:
-    """Ordered products ``S[e-1] @ ... @ S[0]`` for each step count ``e`` in ``ends``.
+def _then(first: np.ndarray, second: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The affine maps "``first``, then ``second``" as top rows ``[U | b]``.
 
-    ``build(pos, count)`` returns the step matrices ``S[pos:pos + count]``.
-    Per chunk, level k of a pairwise tree holds the products of the aligned
-    blocks of 2**k steps, written into one buffer (N matmuls for N steps).
-    Each end composes the nodes along the binary digits of its offset in the
-    chunk onto the product up to the chunk start, one batched matmul per
-    level over all ends in the chunk (Blelloch 1990).  The result, of shape
-    (K, d, d), is in the order of ``ends``.
+    ``[U2 | b2]`` after ``[U1 | b1]`` is ``[U2 U1 | U2 b1 + b2]``: one matmul
+    of ``U2`` with the whole of ``first``, then ``b2`` added to the last
+    column.  This is the augmented product without its ``[0 ... 0 1]`` row.
+    """
+    out = np.matmul(second[..., :-1], first, out=out)
+    out[..., -1] += second[..., -1]
+    return out
+
+
+def _prefix_products(build, ends: np.ndarray, n: int) -> np.ndarray:
+    """Ordered compositions of steps ``S[0]``, then ... ``S[e-1]``, for each step
+    count ``e`` in ``ends``, as top rows ``[U | b]`` of shape (n, n + 1).
+
+    ``build(pos, count)`` returns the step maps ``S[pos:pos + count]`` as top
+    rows.  Per chunk, level k of a pairwise tree holds the compositions of the
+    aligned blocks of 2**k steps, written into one buffer (N compositions for
+    N steps).  Each end composes the nodes along the binary digits of its
+    offset in the chunk onto the map up to the chunk start, one batched
+    composition per level over all ends in the chunk (Blelloch 1990).  Every
+    composition is :func:`_then`.  The result, of shape (K, n, n + 1), is in
+    the order of ``ends``.
     """
     order = np.argsort(ends, kind="stable")
     ends = ends[order]
-    out = np.tile(np.eye(d), (ends.size, 1, 1))
+    identity = np.eye(n, n + 1)
+    out = np.tile(identity, (ends.size, 1, 1))
     lo = int(np.searchsorted(ends, 0, side="right"))
     last = int(ends[-1]) if ends.size else 0
-    chunk = min(_chunk_steps(d), max(last, 1))
-    tree = np.empty((chunk - 1, d, d))  # level k >= 1 holds chunk >> k nodes
-    carry = np.eye(d)
+    chunk = min(_chunk_steps(n + 1), max(last, 1))
+    tree = np.empty((chunk - 1, n, n + 1))  # level k >= 1 holds chunk >> k nodes
+    carry = identity
     for pos in range(0, last, chunk):
         count = min(chunk, last - pos)
         hi = int(np.searchsorted(ends, pos + count, side="right"))
         levels, used = [build(pos, count)], 0
         while levels[-1].shape[0] > 1:
             below, m = levels[-1], levels[-1].shape[0] // 2
-            levels.append(np.matmul(below[1 : 2 * m : 2], below[0 : 2 * m : 2], out=tree[used : used + m]))
+            levels.append(_then(below[0 : 2 * m : 2], below[1 : 2 * m : 2], out=tree[used : used + m]))
             used += m
         offsets = np.append(ends[lo:hi] - pos, count)  # the last row carries to the next chunk
         R = np.repeat(carry[None], offsets.size, axis=0)
         for k in range(len(levels) - 1, -1, -1):
             sel = np.flatnonzero(offsets & (1 << k))
-            R[sel] = levels[k][(offsets[sel] >> k) - 1] @ R[sel]  # the node after the higher digits
+            R[sel] = _then(R[sel], levels[k][(offsets[sel] >> k) - 1])  # the node after the higher digits
         out[order[lo:hi]] = R[:-1]
         carry, lo = R[-1], hi
     return out
@@ -227,11 +243,11 @@ def affine_path(sys: CocycleSystem, taus) -> tuple[np.ndarray, np.ndarray]:
     """Propagator pairs (U(tau), b(tau)) for a batch of nonnegative shifts.
 
     One forward march to the largest shift reads every shift off its chunk's
-    product tree (:func:`_prefix_products`); chunks hold at most
-    ``_CHUNK_BYTES`` of step matrices and their temporaries.  A
-    continuous-time shift off the step grid gets one trailing partial RK4
-    step.  Returns arrays of shape (K, n, n) and (K, n) in the order of
-    ``taus``.
+    product tree (:func:`_prefix_products`), which holds each map as the top
+    rows ``[U | b]``; chunks hold at most ``_CHUNK_BYTES`` of step maps and
+    their temporaries.  A continuous-time shift off the step grid gets one
+    trailing partial RK4 step, composed by the same :func:`_then`.  Returns
+    arrays of shape (K, n, n) and (K, n) in the order of ``taus``.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     if np.any(taus < 0):
@@ -241,11 +257,11 @@ def affine_path(sys: CocycleSystem, taus) -> tuple[np.ndarray, np.ndarray]:
     rem[np.abs(rem) < sys.step * 1e-9] = 0.0
     if not sys.continuous and np.any(rem):
         raise ValueError("discrete-time shifts must be integers")
-    out = _prefix_products(partial(_march_steps, sys), n_full, sys.state_dim + 1)
-    for k in np.flatnonzero(rem):
-        out[k] = _continuous_propagators(sys, n_full[k] * sys.h, 1, rem[k])[0] @ out[k]
     n = sys.state_dim
-    return out[:, :n, :n], out[:, :n, n]
+    out = _prefix_products(partial(_march_steps, sys), n_full, n)
+    for k in np.flatnonzero(rem):
+        out[k] = _then(out[k], _continuous_propagators(sys, n_full[k] * sys.h, 1, rem[k])[0])
+    return out[:, :, :n], out[:, :, n]
 
 
 # ---------------------------------------------------------------------------

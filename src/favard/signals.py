@@ -103,7 +103,7 @@ class AlmostPeriodReport:
         buf = io.StringIO()
         buf.write("tau,window_L,epsilon\n")
         for tau in self.periods:
-            buf.write(f"{tau!r},{self.window_halfwidth!r},{self.epsilon!r}\n")
+            buf.write(f"{float(tau)!r},{float(self.window_halfwidth)!r},{float(self.epsilon)!r}\n")
         return buf.getvalue()
 
 

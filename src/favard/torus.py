@@ -11,6 +11,9 @@ addition (:meth:`TrigPolynomial.along_flow`): every B-th grid point is a
 reduced torus point from :meth:`QuasiPeriodicSpec.phase_at`, and the points
 between are reached by B fine rotations ``e^{i(k.omega) b dt}``, so a grid
 of N points costs about ``4 sqrt(N)`` cos/sin per term instead of ``2 N``.
+The sum over the terms is one real matrix product per block of nodes: the
+node phasors times the coefficients, as real and imaginary rows, against
+the cosines and sines of the fine rotations.
 """
 
 from __future__ import annotations
@@ -26,10 +29,12 @@ TWO_PI = 2.0 * np.pi
 
 #: Default lower bound on the magnitude of a reciprocal denominator.
 DEFAULT_DENOMINATOR_MARGIN = 1e-6
-#: Byte budget of the term phasors one along-flow evaluation holds at a time,
-#: counted at 32 bytes per point and term: the complex phasor, and its real
-#: and imaginary parts as the contraction copies them.  It keeps the memory
-#: of an evaluation to its output, whatever the number of terms.
+#: Byte budget of the blocks one along-flow evaluation holds at a time, at 8
+#: bytes a float: the fine rotations ``[Re F, Im F]`` (2 T B per evaluation)
+#: and, per block of coarse nodes, the rows ``[Re Y, -Im Y]`` (2 T V per node)
+#: and their outputs (B V per node), for T terms, V values per point and B
+#: fine steps.  It keeps the memory of an evaluation to its output, whatever
+#: the number of terms.
 _PHASOR_BYTES = 1 << 20
 
 
@@ -84,33 +89,38 @@ class TrigPolynomial:
     def __call__(self, theta: np.ndarray) -> np.ndarray:
         """Evaluate at one torus point (m,) or a batch (..., m)."""
         phase = np.asarray(theta, dtype=float) @ self.indices.T  # (..., T)
-        return self._contract(np.cos(phase), np.sin(phase))
-
-    def _contract(self, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-        """``sum_k cos[..., k] C_k + sin[..., k] S_k``."""
-        out = np.tensordot(cos, self.cos_coeffs, axes=([-1], [0]))
-        out += np.tensordot(sin, self.sin_coeffs, axes=([-1], [0]))
+        out = np.tensordot(np.cos(phase), self.cos_coeffs, axes=([-1], [0]))
+        out += np.tensordot(np.sin(phase), self.sin_coeffs, axes=([-1], [0]))
         return out
 
     def along_flow(self, grid: "FlowGrid") -> np.ndarray:
         """Values at the points of ``grid``, shape (count, *value_shape).
 
-        Point ``j = a*B + b`` is coarse node ``a`` turned by ``b`` fine steps:
-        ``e^{ik.theta_j} = e^{ik.theta_a} e^{i(k.omega) b dt}``.  ``B`` is about
-        ``sqrt(count)``, capped so that one node's phasors fit
-        ``_PHASOR_BYTES``; nodes are taken in blocks within that budget.
+        Point ``j = a*B + b`` is coarse node ``a`` turned by ``b`` fine steps.
+        With ``W_k = C_k - i S_k``, its value is
+        ``Re sum_k (e^{ik.theta_a} W_k) e^{i(k.omega) b dt}``: per block of nodes,
+        the real rows ``[Re Y, -Im Y]`` of ``Y = e^{ik.theta_a} W_k`` times the
+        fine rotations ``[Re F, Im F]^T``, one real matrix product with inner
+        size 2T.  ``B`` is about ``sqrt(count)``, capped so that the fine
+        rotations and one node's outputs fit ``_PHASOR_BYTES``; nodes are taken
+        in blocks whose rows and outputs fit that budget.  A k = 0 term has
+        the phasors ``1 + 0i``, so it gives its constant exactly.
         """
         T = self.indices.shape[0]
-        count = grid.count
-        B = max(1, min(math.isqrt(max(count - 1, 0)) + 1, _PHASOR_BYTES // (32 * T)))
-        fine = np.exp(1j * np.multiply.outer(grid.dt * np.arange(B), self.indices @ grid.spec.frequencies))
+        count, V = grid.count, math.prod(self.value_shape)
+        B = max(1, min(math.isqrt(max(count - 1, 0)) + 1, _PHASOR_BYTES // (16 * (T + V))))
+        fine = np.multiply.outer(self.indices @ grid.spec.frequencies, grid.dt * np.arange(B))
+        F = np.concatenate([np.cos(fine), np.sin(fine)])  # (2T, B)
+        C = self.cos_coeffs.reshape(T, V).T[None]
+        S = self.sin_coeffs.reshape(T, V).T[None]
         nodes = grid.nodes(B) @ self.indices.T  # (ceil(count / B), T) phases
-        rows = max(1, _PHASOR_BYTES // (32 * T * B))
-        out = np.empty((count, *self.value_shape))
+        rows = max(1, _PHASOR_BYTES // (8 * V * (2 * T + B)))
+        out = np.empty((nodes.shape[0], B, V))
         for a in range(0, nodes.shape[0], rows):
-            z = (np.exp(1j * nodes[a : a + rows, None, :]) * fine).reshape(-1, T)[: count - a * B]
-            out[a * B : a * B + z.shape[0]] = self._contract(z.real, z.imag)
-        return out
+            cos, sin = np.cos(nodes[a : a + rows, None, :]), np.sin(nodes[a : a + rows, None, :])
+            Y = np.concatenate([cos * C + sin * S, cos * S - sin * C], axis=-1)  # (rows, V, 2T)
+            out[a : a + rows] = (Y.reshape(-1, 2 * T) @ F).reshape(-1, V, B).transpose(0, 2, 1)
+        return out.reshape(-1, V)[:count].reshape(count, *self.value_shape)
 
     def to_terms(self) -> list[dict]:
         return [

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import favard.cocycle
 from favard import (
@@ -229,9 +230,17 @@ def forced_rotation_system():
     return CocycleSystem(QuasiPeriodicSpec.from_dict(doc), np.zeros(1))
 
 
+def augmented(top):
+    """The augmented (n + 1) x (n + 1) matrices of top rows [U | b]."""
+    n = top.shape[-2]
+    corner = np.broadcast_to(np.eye(1, n + 1, n), (*top.shape[:-2], 1, n + 1))
+    return np.concatenate([top, corner], axis=-2)
+
+
 def folded_path(sys, steps):
-    """Reference (U, b) at whole step counts by a sequential left fold M = S[i] @ M."""
-    S = favard.cocycle._march_steps(sys, 0, max(steps))
+    """Reference (U, b) at whole step counts by a sequential left fold M = S[i] @ M
+    of the augmented steps."""
+    S = augmented(favard.cocycle._march_steps(sys, 0, max(steps)))
     M, at = np.eye(S.shape[-1]), {0: np.eye(S.shape[-1])}
     for i in range(max(steps)):
         M = S[i] @ M
@@ -245,8 +254,55 @@ def assert_relative(got, ref, rtol=1e-12):
     assert np.max(np.abs(got - ref)) <= rtol * np.max(np.abs(ref))
 
 
+@st.composite
+def marched_systems(draw):
+    """A system with n 1-3 and delay order 0-2 (delays in discrete time only),
+    with a matrix term that varies along the flow."""
+    n, r = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    continuous = r == 0 and draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    D = n * (r + 1)
+    scale = 1.0 if continuous else 0.6 / D
+    doc = {
+        "frequencies": [1.0, SQRT2],
+        "matrix_terms": [
+            {"k": k, "cos": (scale * rng.uniform(-1, 1, (n, D))).tolist(),
+             "sin": (scale * rng.uniform(-1, 1, (n, D))).tolist()}
+            for k in ([0, 0], [1, -1])
+        ],
+        "forcing_terms": [
+            {"k": k, "cos": rng.uniform(-1, 1, n).tolist(), "sin": rng.uniform(-1, 1, n).tolist()}
+            for k in ([0, 1], [2, 0])
+        ],
+        "time_domain": "continuous" if continuous else "discrete",
+        "dimension": n,
+        "delay_order": r,
+    }
+    return CocycleSystem(QuasiPeriodicSpec.from_dict(doc), rng.uniform(0, 2 * np.pi, 2), h=0.01)
+
+
 class TestProductTree:
     """The chunked product tree of ``affine_path`` against a sequential fold."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        marched_systems(),
+        st.lists(st.integers(0, 40), min_size=1, max_size=10),
+        st.integers(1, 7),
+        st.randoms(use_true_random=False),
+    )
+    def test_matches_the_augmented_fold(self, sys, drawn, chunk, rnd):
+        # ends with 0 and a duplicate, in any order, across chunks of a few steps
+        steps = drawn + [0, drawn[0]]
+        rnd.shuffle(steps)
+        d = sys.state_dim + 1
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(favard.cocycle, "_CHUNK_BYTES", chunk * 9 * 8 * d * d)
+            assert favard.cocycle._chunk_steps(d) == chunk
+            Phi, b = affine_path(sys, np.array(steps) * sys.step)
+        Phi_ref, b_ref = folded_path(sys, steps)
+        assert_relative(Phi, Phi_ref)
+        assert_relative(b, b_ref)
 
     def test_non_contracting_rotation(self):
         sys = forced_rotation_system()
@@ -366,9 +422,9 @@ class TestBlockFormSteps:
 
     def assert_steps(self, got, ref):
         n = ref.shape[-1] - 1
-        assert_relative(got[:, :n, :n], ref[:, :n, :n], rtol=1e-14)
-        assert_relative(got[:, :n, n], ref[:, :n, n], rtol=1e-14)
-        np.testing.assert_array_equal(got[:, n], ref[:, n])
+        assert got.shape == (ref.shape[0], n, n + 1)
+        assert_relative(got[:, :, :n], ref[:, :n, :n], rtol=1e-14)
+        assert_relative(got[:, :, n], ref[:, :n, n], rtol=1e-14)
 
     def test_varying_matrix_and_reciprocal_forcing(self):
         sys = reciprocal_shear_system()

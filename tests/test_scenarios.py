@@ -313,6 +313,15 @@ class TestRunScenario:
         ):
             assert (a.run_dir / name).read_bytes() == (b.run_dir / name).read_bytes(), name
 
+    def test_payload_csv_cells_are_plain_numbers(self, tmp_path):
+        rec = run_scenario(bundled_scenarios()["quasiperiodic-dichotomy"], tmp_path, quiet=True)
+        for name in ("returns.csv", "comparability.csv", "almost_periods.csv"):
+            rows = (rec.run_dir / name).read_text().splitlines()[1:]
+            assert rows, name
+            for row in rows:
+                for cell in row.split(","):
+                    float(cell)
+
     def test_almost_period_window_off_the_sample_grid_runs(self, tmp_path):
         # 2 * 20 + 60 is not a whole number of 0.03 steps; the sample still
         # has to cover the whole window

@@ -137,6 +137,19 @@ class TestReturnTable:
         np.testing.assert_allclose(prob.maps.b, b, rtol=0, atol=1e-12)
         np.testing.assert_allclose(prob.maps.delta, delta, rtol=0, atol=1e-12)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 60), min_size=1, max_size=30), st.randoms(use_true_random=False))
+    def test_table_steps_are_the_unique_steps(self, drawn, rnd):
+        # unsorted, and the first half of the drawn steps twice
+        steps = drawn + drawn[: len(drawn) // 2 + 1]
+        rnd.shuffle(steps)
+        sys = telescoping_system()
+        table = march_maps(sys, steps)
+        np.testing.assert_array_equal(table.steps, np.unique(steps))
+        Phi, b, _ = affine_map_samples(sys, np.unique(steps) * sys.step)
+        np.testing.assert_array_equal(table.Phi, Phi)
+        np.testing.assert_array_equal(table.b, b)
+
     def test_missing_shift_is_rejected(self):
         table = march_maps(telescoping_system(), [0, 2, 4])
         with pytest.raises(ValueError, match="missing"):
