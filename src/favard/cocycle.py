@@ -14,8 +14,9 @@ recursion in the same top-row form.
 
 Per-step propagators depend only on the coefficients, so they are built
 in vectorized batches, chunk by chunk, and combined through a pairwise
-product tree: a march to K shifts over N steps costs N + K log N batched
-compositions and no Python loop over steps or shifts.  Chunks are sized
+product tree: a march to K shifts over N steps costs about
+N + K log2(2N / K) batched compositions (2N when every step is a shift) and
+no Python loop over steps or shifts.  Chunks are sized
 from a byte budget, so peak memory does not grow with the state dimension.
 The coefficients along each chunk's uniform time grid are read by angle
 addition (:meth:`favard.torus.TrigPolynomial.along_flow`), about
@@ -36,13 +37,15 @@ from .torus import FlowGrid, QuasiPeriodicSpec, reduce_phase
 
 #: Byte budget of one march chunk, counted in step-sized matrices only: a
 #: chunk of N steps is sized as 9 N float64 matrices of the augmented size
-#: d x d (d = n + 1, or n (r + 1) + 1 with delay order r).  Its peak is lower,
-#: since the product tree and the step stack hold only the top rows n x d,
-#: next to the coefficient and RK4 stage blocks at the half steps and their
-#: temporaries: by ``tracemalloc`` over a three-chunk march, about 4.8 N at
-#: n = 1, 6.3 N at n = 2 and 8.8 N at n = 8.  The blocks that produce the
-#: coefficients are held apart, within ``favard.torus._PHASOR_BYTES``,
-#: whatever the number of terms.
+#: d x d (d = n + 1, or n (r + 1) + 1 with delay order r).  The product tree
+#: and the step stack hold only the top rows n x d, next to the coefficient
+#: and RK4 stage blocks at the half steps and their temporaries.  Peaks by
+#: ``tracemalloc`` over a three-chunk march, beyond its K result maps: to one
+#: end, about 4.8 N at n = 1, 6.3 N at n = 2 and 8.8 N at n = 8; to every
+#: tenth step, 5.3, 6.6 and 9.0 N; to every step, where the down-sweep holds
+#: the prefixes of a whole level and their gather, 9.8, 9.4 and 10.8 N.  The
+#: blocks that produce the coefficients are held apart, within
+#: ``favard.torus._PHASOR_BYTES``, whatever the number of terms.
 _CHUNK_BYTES = 8 << 20
 #: A state whose norm exceeds this factor times ``1 + |start|`` has left the
 #: bounded regime.
@@ -204,11 +207,23 @@ def _prefix_products(build, ends: np.ndarray, n: int) -> np.ndarray:
     count ``e`` in ``ends``, as top rows ``[U | b]`` of shape (n, n + 1).
 
     ``build(pos, count)`` returns the step maps ``S[pos:pos + count]`` as top
-    rows.  Per chunk, level k of a pairwise tree holds the compositions of the
-    aligned blocks of 2**k steps, written into one buffer (N compositions for
-    N steps).  Each end composes the nodes along the binary digits of its
-    offset in the chunk onto the map up to the chunk start, one batched
-    composition per level over all ends in the chunk (Blelloch 1990).  Every
+    rows.  Per chunk, level k of a pairwise tree holds the m_k compositions of
+    the aligned blocks of 2**k steps, written into one buffer (N compositions
+    for N steps).  The ends are read in two parts (Blelloch 1990):
+
+    * a down-sweep from the carry, the map up to the chunk start, gives the
+      m_k + 1 exclusive prefixes E_k of each level k, down to the lowest
+      level k0 with no more nodes than the chunk has ends (counting the
+      carry row): the even rows of E_k are E_{k+1}, and the odd rows are
+      E_{k+1} then every other node of level k, one batched composition;
+    * each end takes its prefix at level k0, ``E_k0[offset >> k0]``, and
+      composes the nodes along the binary digits of its offset below k0,
+      one batched composition per level over all ends in the chunk.
+
+    Both parts make the same compositions, in the same order, as composing
+    every digit of every end, so the maps do not depend on how many ends a
+    chunk holds; a chunk with one end (the burn-in) descends a level or two
+    only and keeps to the digit path.  Every
     composition is :func:`_then`.  The result, of shape (K, n, n + 1), is in
     the order of ``ends``.
     """
@@ -230,8 +245,15 @@ def _prefix_products(build, ends: np.ndarray, n: int) -> np.ndarray:
             levels.append(_then(below[0 : 2 * m : 2], below[1 : 2 * m : 2], out=tree[used : used + m]))
             used += m
         offsets = np.append(ends[lo:hi] - pos, count)  # the last row carries to the next chunk
-        R = np.repeat(carry[None], offsets.size, axis=0)
-        for k in range(len(levels) - 1, -1, -1):
+        E, k0 = carry[None], len(levels)  # E[j]: the map up to offset j << k0
+        while k0 > 0 and levels[k0 - 1].shape[0] <= offsets.size:
+            k0 -= 1
+            m = levels[k0].shape[0]
+            E, above = np.empty((m + 1, n, n + 1)), E
+            E[0::2] = above
+            _then(above[: (m + 1) // 2], levels[k0][0::2], out=E[1::2])
+        R = E[offsets >> k0]
+        for k in range(k0 - 1, -1, -1):
             sel = np.flatnonzero(offsets & (1 << k))
             R[sel] = _then(R[sel], levels[k][(offsets[sel] >> k) - 1])  # the node after the higher digits
         out[order[lo:hi]] = R[:-1]

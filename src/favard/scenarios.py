@@ -15,7 +15,9 @@ import json
 import math
 import os
 import re
+import time
 import traceback
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -290,14 +292,13 @@ def resolve_seed(sys: CocycleSystem, scenario: Scenario) -> tuple[CocycleSystem,
     return sys.shifted(burn), u
 
 
-def _allocate_run_dir(out_root: Path, scenario: Scenario) -> Path:
-    """Create ``run-NNN`` one past the highest index in the scenario's group.
+def _allocate_run_dir(group: Path) -> Path:
+    """Create ``run-NNN`` in ``group``, one past the highest index there.
 
     One directory scan, then ``mkdir`` claims the name; a concurrent run
     that claimed it first makes the next index the candidate.  Gaps left by
     deleted runs are not refilled.
     """
-    group = out_root / f"{scenario.name}-{scenario.digest()}"
     group.mkdir(parents=True, exist_ok=True)
     with os.scandir(group) as entries:
         taken = [int(e.name[4:]) for e in entries
@@ -312,15 +313,29 @@ def _allocate_run_dir(out_root: Path, scenario: Scenario) -> Path:
             counter += 1
 
 
-def _analyse(scenario: Scenario, files: dict, lines: list) -> dict:
-    """Run the pipeline stages, filling ``files`` and the summary ``lines``.
+@contextmanager
+def _stage(stages: dict, name: str):
+    """Record the wall seconds of the block as ``stages[name]``, also when it raises."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        stages[name] = time.perf_counter() - start
+
+
+def _analyse(scenario: Scenario, digest: str, files: dict, lines: list, meta: dict) -> dict:
+    """Run the pipeline stages, filling ``files``, the summary ``lines`` and
+    the stage timings and table counters of ``meta``.
 
     Returns the outcome's :class:`RunRecord` fields other than the scenario,
     the run directory and the exit code.
     """
-    sys = build_system(scenario)
-    sys, u0 = resolve_seed(sys, scenario)
-    returns = find_near_returns(sys, scenario.delta_cap, scenario.horizon, scenario.scan_step)
+    stages = meta["stages"] = {}
+    with _stage(stages, "seed"):
+        sys = build_system(scenario)
+        sys, u0 = resolve_seed(sys, scenario)
+    with _stage(stages, "near_returns"):
+        returns = find_near_returns(sys, scenario.delta_cap, scenario.horizon, scenario.scan_step)
     files["returns.csv"] = returns.to_csv()
     lines.append(f"near_returns: {len(returns)} (delta_cap {scenario.delta_cap!r})")
     if len(returns) == 0:
@@ -329,12 +344,16 @@ def _analyse(scenario: Scenario, files: dict, lines: list) -> dict:
 
     # one march serves the return maps and the comparability scan
     span = scenario.comparability_horizon or scenario.horizon
-    scan = modulus_steps(sys, span, scenario.min_tau, scenario.scan_step)
-    table = march_maps(sys, np.concatenate([returns.steps, scan]))
-    problem = FavardProblem.from_returns(sys, u0, returns, table)
-    result = solve_minmax(problem)
+    with _stage(stages, "table"):
+        scan = modulus_steps(sys, span, scenario.min_tau, scenario.scan_step)
+        table = march_maps(sys, np.concatenate([returns.steps, scan]))
+    meta["table_rows"], meta["march_steps"] = len(table.steps), int(table.steps[-1])
+    with _stage(stages, "solve"):
+        problem = FavardProblem.from_returns(sys, u0, returns, table)
+        result = solve_minmax(problem)
     grid = scenario.delta_grid or DEFAULT_DELTA_GRID
-    report = verify_fixed_point(sys, result.u_bar, problem.maps, grid)
+    with _stage(stages, "certificate"):
+        report = verify_fixed_point(sys, result.u_bar, problem.maps, grid)
     favard_doc = {
         "u_bar": result.u_bar.tolist(),
         "objective_value": result.value,
@@ -343,7 +362,7 @@ def _analyse(scenario: Scenario, files: dict, lines: list) -> dict:
         "hull_dimension": result.hull_dimension,
         "fixed_point": report.to_dict(),
         "provenance": {
-            "scenario_digest": scenario.digest(),
+            "scenario_digest": digest,
             "delta_cap": scenario.delta_cap,
             "horizon": scenario.horizon,
             "h": scenario.h,
@@ -362,9 +381,10 @@ def _analyse(scenario: Scenario, files: dict, lines: list) -> dict:
 
     comp = None
     if report.verdict == "certified":
-        comp = estimate_modulus(sys, result.u_bar, scenario.epsilons, span, delta_grid=grid,
-                                min_tau=scenario.min_tau, scan_step=scenario.scan_step,
-                                table=table)
+        with _stage(stages, "modulus"):
+            comp = estimate_modulus(sys, result.u_bar, scenario.epsilons, span, delta_grid=grid,
+                                    min_tau=scenario.min_tau, scan_step=scenario.scan_step,
+                                    table=table)
         files["comparability.csv"] = comp.to_csv()
         for eps, dlt in zip(comp.epsilons, comp.deltas):
             lines.append(f"delta({eps!r}) = {dlt!r}")
@@ -376,10 +396,11 @@ def _analyse(scenario: Scenario, files: dict, lines: list) -> dict:
         L = float(ap["window_halfwidth"])
         lo, hi = (float(x) for x in ap["scan_range"])
         count = math.ceil((2 * L + hi) / dt - 1e-9) + 1  # covers [-L, L + hi]
-        traj = sample_forcing(sys.spec, np.array(sys.base_phase), -L, dt, count)
-        ap_report = scan_almost_periods(
-            traj, float(ap["epsilon"]), (lo, hi), float(ap.get("scan_step", dt)), L
-        )
+        with _stage(stages, "almost_periods"):
+            traj = sample_forcing(sys.spec, np.array(sys.base_phase), -L, dt, count)
+            ap_report = scan_almost_periods(
+                traj, float(ap["epsilon"]), (lo, hi), float(ap.get("scan_step", dt)), L
+            )
         files["almost_periods.csv"] = ap_report.to_csv()
         lines.append(f"almost_periods: {ap_report.periods.size} found")
 
@@ -405,8 +426,12 @@ def run_scenario(
     Exit code semantics: 0 certified, 2 inconclusive, 1 error.  Any
     exception of the pipeline is an error verdict: the payload files read
     as in ``EMPTY_PAYLOAD`` and metadata.json holds the traceback.
+    metadata.json also holds the wall seconds of each stage the run reached
+    (``stages``) and, once the table is built, its ``table_rows`` and the
+    ``march_steps`` of its march.
     """
-    run_dir = _allocate_run_dir(Path(out_root), scenario)
+    digest = scenario.digest()
+    run_dir = _allocate_run_dir(Path(out_root) / f"{scenario.name}-{digest}")
     meta = {
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "package_version": _pkg_version,
@@ -416,7 +441,7 @@ def run_scenario(
     files.update(EMPTY_PAYLOAD)
     lines = [f"scenario: {scenario.name}", f"description: {scenario.description}"]
     try:
-        outcome = _analyse(scenario, files, lines)
+        outcome = _analyse(scenario, digest, files, lines, meta)
     except Exception as exc:
         files.update(EMPTY_PAYLOAD)
         outcome = {"verdict": "error", "message": f"{type(exc).__name__}: {exc}"}

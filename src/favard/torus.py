@@ -271,10 +271,14 @@ class QuasiPeriodicSpec:
         return reduce_phase(theta)
 
     def base_return_quality(self, tau) -> np.ndarray:
-        """Sup over coordinates of the angular distance of tau*omega to 0."""
+        """Sup over coordinates of the angular distance of tau*omega to 0, in
+        the shape of ``tau``.
+
+        The frequency axis leads, so the max is one elementwise pass over m
+        rows rather than a reduction along a short trailing axis.
+        """
         tau = np.asarray(tau, dtype=float)
-        d = angular_distance(np.multiply.outer(tau, self.frequencies))
-        return np.max(d, axis=-1)
+        return np.max(angular_distance(np.multiply.outer(self.frequencies, tau)), axis=0)
 
     # -- serialization ----------------------------------------------------
 

@@ -417,6 +417,27 @@ def augmented_rk4_steps(sys, t0, n_steps, h):
     return np.array(steps)
 
 
+class TestDenseEnds:
+    """Ends at every step of a march against ends read one at a time."""
+
+    @pytest.mark.parametrize("system", [decay_system, reciprocal_shear_system, delay_system])
+    @pytest.mark.parametrize("chunk", [5, 13, 16])
+    def test_dense_ends_are_exact(self, system, chunk, monkeypatch):
+        # a march to every step reads its ends off the down-sweep of each
+        # chunk's tree; one to (e, last) composes e along its binary digits.
+        # Both make the same compositions in the same order.
+        sys = system()
+        d = sys.state_dim + 1
+        monkeypatch.setattr(favard.cocycle, "_CHUNK_BYTES", chunk * 9 * 8 * d * d)
+        assert favard.cocycle._chunk_steps(d) == chunk
+        last = 6 * chunk + 3
+        Phi, b = affine_path(sys, np.arange(last + 1) * sys.step)
+        for e in range(last + 1):
+            Phi_e, b_e = affine_path(sys, np.array([e, last]) * sys.step)
+            assert np.array_equal(Phi_e[0], Phi[e]) and np.array_equal(b_e[0], b[e]), e
+            assert np.array_equal(Phi_e[1], Phi[last]) and np.array_equal(b_e[1], b[last]), e
+
+
 class TestBlockFormSteps:
     """The block-form RK4 steps against the augmented-form step, blockwise."""
 

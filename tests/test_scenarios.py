@@ -272,7 +272,7 @@ class TestRunScenario:
         group = tmp_path / f"{scenario.name}-{scenario.digest()}"
         for name in ("run-001", "run-005", "notes"):
             (group / name).mkdir(parents=True)
-        assert favard.scenarios._allocate_run_dir(tmp_path, scenario).name == "run-006"
+        assert favard.scenarios._allocate_run_dir(group).name == "run-006"
 
     def test_solver_pivot_cap_is_an_error_verdict(self, tmp_path, monkeypatch):
         capped = functools.partial(solve_minmax, iterations=1)
@@ -298,6 +298,33 @@ class TestRunScenario:
         assert "message: RuntimeError: boom" in (rec.run_dir / "summary.txt").read_text()
         meta = json.loads((rec.run_dir / "metadata.json").read_text())
         assert "RuntimeError: boom" in meta["traceback"]
+
+    def test_metadata_times_every_stage_and_counts_the_table(self, tmp_path):
+        rec = run_scenario(bundled_scenarios()["quasiperiodic-dichotomy"], tmp_path, quiet=True)
+        meta = json.loads((rec.run_dir / "metadata.json").read_text())
+        assert set(meta["stages"]) == {"seed", "near_returns", "table", "solve", "certificate",
+                                       "modulus", "almost_periods"}
+        assert all(s >= 0 for s in meta["stages"].values())
+        # horizon 800 at h = 1e-3; the returns lie on the comparability scan
+        # of step 0.01, and the zero shift is one more row
+        assert meta["march_steps"] == 800_000
+        assert meta["table_rows"] == 80_001
+
+    def test_error_metadata_times_the_stages_reached(self, tmp_path, monkeypatch):
+        rec = run_scenario(bundled_scenarios()["unstable-blowup"], tmp_path, quiet=True)
+        meta = json.loads((rec.run_dir / "metadata.json").read_text())
+        assert rec.verdict == "error" and set(meta["stages"]) == {"seed"}
+        assert "table_rows" not in meta and "march_steps" not in meta
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(favard.scenarios, "estimate_modulus", boom)
+        rec = run_scenario(bundled_scenarios()["equilibrium"], tmp_path, quiet=True)
+        meta = json.loads((rec.run_dir / "metadata.json").read_text())
+        assert set(meta["stages"]) == {"seed", "near_returns", "table", "solve", "certificate",
+                                       "modulus"}
+        assert meta["table_rows"] > 0
 
     def test_payloads_deterministic_across_runs(self, tmp_path):
         scenario = bundled_scenarios()["telescoping-discrete"]

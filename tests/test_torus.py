@@ -95,6 +95,16 @@ class TestQuasiPeriodicSpec:
         expected = float(angular_distance(np.array([2 * np.pi * SQRT2]))[0])
         assert q == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+    def test_base_return_quality_keeps_the_shape_of_tau(self, shape):
+        doc = scalar_spec().to_dict() | {"frequencies": [-1.3, SQRT2]}
+        spec = QuasiPeriodicSpec.from_dict(doc)
+        tau = np.random.default_rng(3).uniform(-50.0, 50.0, shape)
+        q = spec.base_return_quality(tau)
+        assert np.shape(q) == shape
+        per_frequency = [angular_distance(w * tau) for w in spec.frequencies]
+        assert np.array_equal(q, np.maximum.reduce(per_frequency))
+
     def test_roundtrip_json(self):
         spec = scalar_spec()
         again = QuasiPeriodicSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
