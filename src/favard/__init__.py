@@ -50,7 +50,6 @@ from .signals import (
     sample_forcing,
     sample_signal,
     scan_almost_periods,
-    vector_norm,
 )
 from .solver import (
     FavardProblem,

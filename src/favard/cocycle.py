@@ -32,7 +32,6 @@ from functools import partial
 import numpy as np
 
 from .errors import BlowUpError
-from .signals import vector_norm
 from .torus import FlowGrid, QuasiPeriodicSpec, reduce_phase
 
 #: Byte budget of one march chunk, counted in step-sized matrices only: a
@@ -105,8 +104,15 @@ class CocycleSystem:
     def norm_kind(self) -> str:
         return "delay_sum" if self.spec.delay_order > 0 else "euclidean"
 
-    def state_norm(self, v: np.ndarray) -> np.ndarray:
-        return vector_norm(np.asarray(v, dtype=float), self.norm_kind, self.spec.dimension)
+    def state_norm(self, v) -> np.ndarray:
+        """Norm of each row of a (..., state_dim) array: the sum of the Euclidean
+        norms of its n-blocks, the history-segment norm of a delay state.
+        Without delay it is the Euclidean norm, bit for bit."""
+        v = np.asarray(v, dtype=float)
+        n = self.spec.dimension
+        if v.shape[-1] != self.state_dim:
+            raise ValueError(f"state norm needs {self.state_dim} entries per row")
+        return np.linalg.norm(v.reshape(v.shape[:-1] + (v.shape[-1] // n, n)), axis=-1).sum(axis=-1)
 
     def shifted(self, s: float) -> "CocycleSystem":
         """The same system re-anchored at the base point advanced by ``s``."""

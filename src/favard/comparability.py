@@ -12,7 +12,6 @@ every epsilon.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -40,13 +39,6 @@ class ComparabilityReport:
     def __post_init__(self):
         if not (len(self.epsilons) == len(self.deltas) == len(self.counts)):
             raise ValueError("epsilons, deltas and counts must have equal length")
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("epsilon,delta,horizon,count\n")
-        for eps, dlt, cnt in zip(self.epsilons, self.deltas, self.counts):
-            buf.write(f"{eps!r},{dlt!r},{self.horizon!r},{cnt}\n")
-        return buf.getvalue()
 
 
 def modulus_steps(

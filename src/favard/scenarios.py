@@ -4,7 +4,9 @@ A scenario bundles a coefficient system with every knob of the analysis:
 seeding, near-return scan, min-max solve, fixed-point certificate, and
 comparability modulus.  ``run_scenario`` executes the pipeline and writes
 a deterministic artifact directory; timestamps live in a separate
-metadata file so payload files are byte-identical across reruns.
+metadata file so payload files are byte-identical across reruns.  This
+module alone knows the payload formats: each CSV is its header in
+``EMPTY_PAYLOAD`` plus rows of plain Python numbers (:func:`_csv`).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import re
 import time
 import traceback
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -28,7 +30,7 @@ from . import __version__ as _pkg_version
 from .cocycle import CocycleSystem, check_bounded, evaluate_affine
 from .comparability import DEFAULT_DELTA_GRID, estimate_modulus, modulus_steps
 from .errors import ConfigError
-from .signals import sample_forcing, scan_almost_periods
+from .signals import sample_forcing, scan_almost_periods, scan_indices
 from .solver import (
     FavardProblem,
     FavardResult,
@@ -239,13 +241,13 @@ def _check_almost_periods(ap: dict, default_dt: float) -> None:
     for key in ("epsilon", "window_halfwidth", "sample_dt"):
         if num.get(key, default_dt) <= 0:
             raise ConfigError(f"almost_periods.{key}", "must be positive")
-    dt = num.get("sample_dt", default_dt)
-    if (2 * num["window_halfwidth"] + scan_range[1]) / dt > _MAX_POINTS:
+    dt, L = num.get("sample_dt", default_dt), num["window_halfwidth"]
+    if (2 * L + scan_range[1]) / dt > _MAX_POINTS:
         raise ConfigError("almost_periods.sample_dt", f"samples more than {_MAX_POINTS} points")
-    step = num.get("scan_step", dt)
-    k = round(step / dt)
-    if k < 1 or abs(k * dt - step) > 1e-9 * max(1.0, step):
-        raise ConfigError("almost_periods.scan_step", "must be a positive whole multiple of sample_dt")
+    try:  # the scan's own conversion of its times, so a scenario that validates runs
+        scan_indices(-L, dt, scan_range, num.get("scan_step", dt), L)
+    except ValueError:
+        raise ConfigError("almost_periods.scan_step", "must be a positive whole multiple of sample_dt") from None
 
 
 @dataclass(frozen=True)
@@ -313,6 +315,12 @@ def _allocate_run_dir(group: Path) -> Path:
             counter += 1
 
 
+def _csv(name: str, rows) -> str:
+    """The payload CSV ``name``: its ``EMPTY_PAYLOAD`` header, then one line
+    per row of plain Python numbers."""
+    return EMPTY_PAYLOAD[name] + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+
 @contextmanager
 def _stage(stages: dict, name: str):
     """Record the wall seconds of the block as ``stages[name]``, also when it raises."""
@@ -336,7 +344,7 @@ def _analyse(scenario: Scenario, digest: str, files: dict, lines: list, meta: di
         sys, u0 = resolve_seed(sys, scenario)
     with _stage(stages, "near_returns"):
         returns = find_near_returns(sys, scenario.delta_cap, scenario.horizon, scenario.scan_step)
-    files["returns.csv"] = returns.to_csv()
+    files["returns.csv"] = _csv("returns.csv", zip(returns.taus.tolist(), returns.deltas.tolist()))
     lines.append(f"near_returns: {len(returns)} (delta_cap {scenario.delta_cap!r})")
     if len(returns) == 0:
         return {"verdict": "inconclusive",
@@ -360,7 +368,7 @@ def _analyse(scenario: Scenario, digest: str, files: dict, lines: list, meta: di
         "weights": result.weights.tolist(),
         "iterations": result.iterations,
         "hull_dimension": result.hull_dimension,
-        "fixed_point": report.to_dict(),
+        "fixed_point": asdict(report),
         "provenance": {
             "scenario_digest": digest,
             "delta_cap": scenario.delta_cap,
@@ -385,7 +393,8 @@ def _analyse(scenario: Scenario, digest: str, files: dict, lines: list, meta: di
             comp = estimate_modulus(sys, result.u_bar, scenario.epsilons, span, delta_grid=grid,
                                     min_tau=scenario.min_tau, scan_step=scenario.scan_step,
                                     table=table)
-        files["comparability.csv"] = comp.to_csv()
+        rows = zip(comp.epsilons, comp.deltas, [comp.horizon] * len(comp.deltas), comp.counts)
+        files["comparability.csv"] = _csv("comparability.csv", rows)
         for eps, dlt in zip(comp.epsilons, comp.deltas):
             lines.append(f"delta({eps!r}) = {dlt!r}")
     del table  # not held through the almost-period scan
@@ -393,15 +402,16 @@ def _analyse(scenario: Scenario, digest: str, files: dict, lines: list, meta: di
     if scenario.almost_periods is not None:
         ap = dict(scenario.almost_periods)
         dt = float(ap.get("sample_dt", 0.01 if sys.continuous else 1.0))
-        L = float(ap["window_halfwidth"])
-        lo, hi = (float(x) for x in ap["scan_range"])
-        count = math.ceil((2 * L + hi) / dt - 1e-9) + 1  # covers [-L, L + hi]
+        L, eps = float(ap["window_halfwidth"]), float(ap["epsilon"])
+        scan_range = tuple(float(x) for x in ap["scan_range"])
+        step = float(ap.get("scan_step", dt))
         with _stage(stages, "almost_periods"):
+            _, end, shifts = scan_indices(-L, dt, scan_range, step, L)
+            count = end + int(shifts.max(initial=0))  # the indices the scan reads, from -L on
             traj = sample_forcing(sys.spec, np.array(sys.base_phase), -L, dt, count)
-            ap_report = scan_almost_periods(
-                traj, float(ap["epsilon"]), (lo, hi), float(ap.get("scan_step", dt)), L
-            )
-        files["almost_periods.csv"] = ap_report.to_csv()
+            ap_report = scan_almost_periods(traj, eps, scan_range, step, L)
+        rows = ((tau, L, eps) for tau in ap_report.periods.tolist())
+        files["almost_periods.csv"] = _csv("almost_periods.csv", rows)
         lines.append(f"almost_periods: {ap_report.periods.size} found")
 
     return {

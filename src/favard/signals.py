@@ -1,15 +1,18 @@
 """Finite-window signal analysis: sampled paths and almost-period scans.
 
-The almost-period scan measures each candidate shift coarse to fine: first
-on every s-th window point (s the integer square root of the window
-length), then on the whole window only for the shifts still below epsilon.
-Both passes compute each point's deviation the same way, so the listed
-periods are exactly those of a full scan of every shift.
+:func:`scan_indices` is the one conversion of the scan's times to sample
+indices: the window, the shifts and, from them, the indices the scan reads.
+The pipeline sizes its sample to exactly those indices and the scenario
+check validates through the same call.  The almost-period scan measures
+each candidate shift coarse to fine: first on every s-th window point (s
+the integer square root of the window length), then on the whole window
+only for the shifts still below epsilon.  Both passes compute each point's
+deviation the same way, so the listed periods are exactly those of a full
+scan of every shift.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -21,22 +24,6 @@ from .torus import FlowGrid, QuasiPeriodicSpec
 
 #: Byte budget of one block of shifted windows in :func:`scan_almost_periods`.
 _SCAN_BYTES = 4 << 20
-
-
-def vector_norm(values: np.ndarray, kind: str, block: int | None = None) -> np.ndarray:
-    """Norm of each row of a (..., d) array.
-
-    ``delay_sum`` sums the Euclidean norms of consecutive blocks of size
-    ``block`` (the history-segment norm for delay states).
-    """
-    if kind == "euclidean":
-        return np.linalg.norm(values, axis=-1)
-    if kind == "delay_sum":
-        if block is None or values.shape[-1] % block != 0:
-            raise ValueError("delay_sum norm needs a block size dividing the dimension")
-        parts = values.reshape(values.shape[:-1] + (-1, block))
-        return np.sum(np.linalg.norm(parts, axis=-1), axis=-1)
-    raise ValueError(f"unknown norm kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -61,13 +48,6 @@ class TrajectorySample:
     @property
     def t_end(self) -> float:
         return self.t0 + (len(self) - 1) * self.dt
-
-    def index_of(self, t: float) -> int:
-        """Nearest grid index for time ``t``; raises if outside the window."""
-        i = round((t - self.t0) / self.dt)
-        if i < 0 or i >= len(self):
-            raise CoverageError(f"time {t} outside sampled window [{self.t0}, {self.t_end}]")
-        return int(i)
 
 
 def sample_signal(fn, t0: float, dt: float, count: int) -> TrajectorySample:
@@ -99,12 +79,25 @@ class AlmostPeriodReport:
     scan_range: tuple[float, float]
     scan_step: float
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("tau,window_L,epsilon\n")
-        for tau in self.periods:
-            buf.write(f"{float(tau)!r},{float(self.window_halfwidth)!r},{float(self.epsilon)!r}\n")
-        return buf.getvalue()
+
+def scan_indices(
+    t0: float, dt: float, scan_range: tuple[float, float], scan_step: float, window_halfwidth: float
+) -> tuple[int, int, np.ndarray]:
+    """The almost-period scan's grid as indices of a sample starting at ``t0``
+    with spacing ``dt``: ``(lo, hi, shifts)``.
+
+    The window is the sample points ``lo <= i < hi`` nearest ``-L`` and ``L``;
+    ``shifts`` are the whole-sample shifts ``k`` of the scan grid, every
+    ``scan_step / dt``-th one in ``scan_range``.  The scan reads the indices
+    ``lo + min(0, k)`` to ``hi - 1 + max(0, k)``.  The ``1e-9`` slack keeps
+    a grid time that roundoff put just off its sample point on it.
+    """
+    step = round(scan_step / dt)
+    if step < 1 or abs(step * dt - scan_step) > 1e-9 * max(1.0, scan_step):
+        raise ValueError("scan_step must be a positive multiple of the sample dt")
+    k_lo, k_hi = math.ceil(scan_range[0] / dt - 1e-9), math.floor(scan_range[1] / dt + 1e-9)
+    L = window_halfwidth
+    return round((-L - t0) / dt), round((L - t0) / dt) + 1, np.arange(k_lo, k_hi + 1, step)
 
 
 def scan_almost_periods(
@@ -117,10 +110,11 @@ def scan_almost_periods(
     """List every grid shift tau with sup_{|t|<=L} |traj(t+tau) - traj(t)| < epsilon,
     ``|.|`` the Euclidean norm.
 
-    Candidate shifts are snapped to the sample grid, so the scan step must be
-    an integer multiple of ``traj.dt``.  Shifts that already miss epsilon on
-    a coarse subset of the window are dropped before the full window is
-    measured (:func:`_close_shifts`).
+    The window and the shifts are snapped to the sample grid by
+    :func:`scan_indices`, so the scan step must be an integer multiple of
+    ``traj.dt``, and the sample must hold every index the scan reads.
+    Shifts that already miss epsilon on a coarse subset of the window are
+    dropped before the full window is measured (:func:`_close_shifts`).
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -128,20 +122,13 @@ def scan_almost_periods(
     tau_min, tau_max = scan_range
     if tau_max < tau_min:
         raise ValueError("scan range must be increasing")
-    step_idx = round(scan_step / traj.dt)
-    if step_idx < 1 or abs(step_idx * traj.dt - scan_step) > 1e-9 * max(1.0, scan_step):
-        raise ValueError("scan_step must be a positive multiple of the sample dt")
-    if traj.t0 > min(0.0, tau_min) - L + 1e-12 or traj.t_end < L + tau_max - 1e-12:
+    lo, hi, shifts = scan_indices(traj.t0, traj.dt, scan_range, scan_step, L)
+    if lo + shifts.min(initial=0) < 0 or hi + shifts.max(initial=0) > len(traj):
         raise CoverageError(
             f"sample [{traj.t0}, {traj.t_end}] cannot support the window "
             f"[{min(0.0, tau_min) - L}, {L + tau_max}]"
         )
-    i_lo = traj.index_of(-L)
-    i_hi = traj.index_of(L)
-    k_lo = int(math.ceil(tau_min / traj.dt - 1e-9))
-    k_hi = int(math.floor(tau_max / traj.dt + 1e-9))
-    shifts = np.arange(k_lo, k_hi + 1, step_idx)
-    periods_arr = shifts[_close_shifts(traj.values, i_lo, i_hi + 1, shifts, epsilon)] * traj.dt
+    periods_arr = shifts[_close_shifts(traj.values, lo, hi, shifts, epsilon)] * traj.dt
     max_gap = _max_gap(periods_arr, tau_min, tau_max)
     return AlmostPeriodReport(
         epsilon=epsilon,
@@ -149,7 +136,7 @@ def scan_almost_periods(
         periods=periods_arr,
         max_gap=max_gap,
         scan_range=(tau_min, tau_max),
-        scan_step=step_idx * traj.dt,
+        scan_step=round(scan_step / traj.dt) * traj.dt,
     )
 
 

@@ -10,12 +10,14 @@ nearest the anchor among minimizers: a linear program in the hull weights
 (see :func:`solve_minmax`).  Small residuals ``|Phi_k u + b_k - u|`` of the
 returns at the minimizer, read as the curve :func:`residual_curve` over the
 return quality, certify an (approximate) common fixed point of the return
-semigroup.
+semigroup.  ``|.|`` is the state norm,
+:meth:`~favard.cocycle.CocycleSystem.state_norm`: the sum of the Euclidean
+norms of the n-blocks of a state.  The reports here carry numbers only;
+:mod:`favard.scenarios` writes them to the payload files.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +42,6 @@ class NearReturnSet:
     steps: np.ndarray
     deltas: np.ndarray
     step: float
-    delta_cap: float
-    horizon: float
-    scan_step: float
 
     def __post_init__(self):
         steps = np.atleast_1d(np.asarray(self.steps, dtype=int))
@@ -59,13 +58,6 @@ class NearReturnSet:
 
     def __len__(self) -> int:
         return int(self.steps.size)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("tau,delta\n")
-        for tau, dlt in zip(self.taus, self.deltas):
-            buf.write(f"{float(tau)!r},{float(dlt)!r}\n")
-        return buf.getvalue()
 
 
 def find_near_returns(
@@ -86,14 +78,7 @@ def find_near_returns(
     steps = sys.shift_grid(horizon, scan_step)
     qualities = sys.spec.base_return_quality(steps * sys.step)
     mask = qualities < delta_cap
-    return NearReturnSet(
-        steps=steps[mask],
-        deltas=qualities[mask],
-        step=sys.step,
-        delta_cap=float(delta_cap),
-        horizon=float(horizon),
-        scan_step=float(sys.stride(scan_step) * sys.step),
-    )
+    return NearReturnSet(steps=steps[mask], deltas=qualities[mask], step=sys.step)
 
 
 @dataclass(frozen=True)
@@ -462,16 +447,6 @@ class FixedPointReport:
     tolerance: float
     verdict: str  # "certified" or "inconclusive"
     max_residual: float
-
-    def to_dict(self) -> dict:
-        return {
-            "delta_grid": list(self.delta_grid),
-            "residuals": list(self.residuals),
-            "counts": list(self.counts),
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-            "max_residual": self.max_residual,
-        }
 
 
 def default_certificate_tolerance(sys: CocycleSystem) -> float:

@@ -129,6 +129,46 @@ class TestContinuousOracles:
         assert evaluate_affine(sys, [0.5], t)[0] == pytest.approx(expected, abs=1e-10)
 
 
+def zero_system(n, r):
+    """u(t+1) = 0 with state dimension n and delay order r, for the state norm."""
+    doc = {
+        "frequencies": [SQRT2],
+        "matrix_terms": [{"k": [0], "cos": np.zeros((n, n * (r + 1))).tolist(),
+                          "sin": np.zeros((n, n * (r + 1))).tolist()}],
+        "forcing_terms": [{"k": [0], "cos": [0.0] * n, "sin": [0.0] * n}],
+        "time_domain": "discrete",
+        "dimension": n,
+        "delay_order": r,
+    }
+    return CocycleSystem(QuasiPeriodicSpec.from_dict(doc), np.zeros(1))
+
+
+class TestStateNorm:
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_euclidean_without_delay(self, n):
+        v = np.random.default_rng(n).normal(size=(4, 6, n))
+        sys = zero_system(n, 0)
+        assert np.array_equal(sys.state_norm(v), np.linalg.norm(v, axis=-1))
+        assert np.array_equal(sys.state_norm(v[1, 2]), np.linalg.norm(v[1, 2]))
+
+    @pytest.mark.parametrize("n, r", [(1, 1), (2, 1), (1, 2), (3, 2)])
+    def test_delay_sums_the_block_norms(self, n, r):
+        v = np.random.default_rng(10 * n + r).normal(size=(5, n * (r + 1)))
+        blocks = sum(np.linalg.norm(v[:, j * n : (j + 1) * n], axis=-1) for j in range(r + 1))
+        np.testing.assert_array_equal(zero_system(n, r).state_norm(v), blocks)
+        # two blocks of size 2: |(3,4)| + |(0,5)| = 10
+        assert zero_system(2, 1).state_norm([3.0, 4.0, 0.0, 5.0]) == 10.0
+
+    @pytest.mark.parametrize("n, r", [(1, 0), (3, 0), (2, 1), (1, 2)])
+    def test_zero_rows(self, n, r):
+        assert zero_system(n, r).state_norm(np.zeros((0, n * (r + 1)))).shape == (0,)
+
+    @pytest.mark.parametrize("n, r, size", [(3, 0, 4), (2, 1, 3), (1, 1, 3), (1, 2, 2)])
+    def test_wrongly_sized_state_raises(self, n, r, size):
+        with pytest.raises(ValueError):
+            zero_system(n, r).state_norm(np.ones(size))
+
+
 class TestDiscreteAndDelay:
     def test_discrete_matches_loop(self):
         sys = discrete_system()

@@ -12,6 +12,7 @@ from favard import (
     estimate_modulus,
 )
 from favard.comparability import modulus_steps
+from favard.scenarios import _csv
 from favard.solver import march_maps
 
 SQRT2 = math.sqrt(2.0)
@@ -46,6 +47,15 @@ class TestEstimateModulus:
         rep = estimate_modulus(sys, [1.0], [0.1, 0.01], 100.0, delta_grid=GRID)
         assert rep.deltas[0] == pytest.approx(max(GRID))
         assert rep.deltas[1] == pytest.approx(max(GRID))
+
+    def test_csv_layout(self):
+        sys = equilibrium_system()
+        rep = estimate_modulus(sys, [1.0], [0.1, 0.01], 50.0, delta_grid=GRID)
+        rows = list(zip(rep.epsilons, rep.deltas, [rep.horizon] * len(rep.deltas), rep.counts))
+        lines = _csv("comparability.csv", rows).strip().splitlines()
+        assert lines[0] == "epsilon,delta,horizon,count"
+        assert len(lines) == 3
+        assert [tuple(map(float, line.split(","))) for line in lines[1:]] == rows
 
     def test_periodic_solution_positive_modulus(self):
         # x(t) = (cos t + sin t)/2 returns exactly at multiples of 2 pi
@@ -133,10 +143,3 @@ class TestEstimateModulus:
         shared = estimate_modulus(*args, table=table)
         assert shared == estimate_modulus(*args)
         assert shared.counts[0] > 0
-
-    def test_csv_layout(self):
-        sys = equilibrium_system()
-        rep = estimate_modulus(sys, [1.0], [0.1, 0.01], 50.0, delta_grid=GRID)
-        lines = rep.to_csv().strip().splitlines()
-        assert lines[0] == "epsilon,delta,horizon,count"
-        assert len(lines) == 3

@@ -1,9 +1,11 @@
 import functools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 import favard.cocycle
 import favard.scenarios
@@ -349,6 +351,30 @@ class TestRunScenario:
                 for cell in row.split(","):
                     float(cell)
 
+    def test_payload_csvs_hold_their_header_and_one_row_per_entry(self, tmp_path):
+        rec = run_scenario(bundled_scenarios()["quasiperiodic-dichotomy"], tmp_path, quiet=True)
+        summary = (rec.run_dir / "summary.txt").read_text()
+        periods = int(re.search(r"^almost_periods: (\d+) found$", summary, re.M).group(1))
+        assert rec.return_count > 0 and periods > 0
+        entries = {"returns.csv": rec.return_count, "comparability.csv": len(rec.scenario.epsilons),
+                   "almost_periods.csv": periods}
+        for name, count in entries.items():
+            header, *rows = (rec.run_dir / name).read_text().splitlines()
+            assert header + "\n" == favard.scenarios.EMPTY_PAYLOAD[name], name
+            assert len(rows) == count, name
+            assert all(row.count(",") == header.count(",") for row in rows), name
+
+    @pytest.mark.parametrize("halfwidth, scan_hi", [
+        (20.0000000002, 60.0), (20.0, 60.0000000003), (20.0000000002, 60.0000000003)])
+    def test_almost_period_times_a_roundoff_off_the_sample_grid_run(self, tmp_path, halfwidth, scan_hi):
+        # the scan reads whole sample points; a window or range end a
+        # roundoff past one must neither leave the sample short nor fail
+        ap = {"epsilon": 1, "window_halfwidth": halfwidth, "scan_range": [0, scan_hi]}
+        doc = bundled_scenarios()["discrete-dichotomy"].to_dict() | {"almost_periods": ap}
+        rec = run_scenario(Scenario.from_dict(doc), tmp_path, quiet=True)
+        assert rec.verdict == "certified", rec.message
+        assert len((rec.run_dir / "almost_periods.csv").read_text().splitlines()) > 1
+
     def test_almost_period_window_off_the_sample_grid_runs(self, tmp_path):
         # 2 * 20 + 60 is not a whole number of 0.03 steps; the sample still
         # has to cover the whole window
@@ -390,6 +416,7 @@ class TestRunScenario:
         assert rec.verdict == "inconclusive"
         assert rec.exit_code == 2
         assert rec.return_count == 0
+        assert (rec.run_dir / "returns.csv").read_text() == "tau,delta\n"
 
 
 class TestBundledSet:
@@ -410,3 +437,50 @@ class TestBundledSet:
         assert ("continuous", False) in domains
         assert ("discrete", False) in domains
         assert ("discrete", True) in domains
+
+
+#: Short-horizon scenarios that still hold a near return, so a run reaches
+#: the almost-period scan quickly: discrete-dichotomy returns at tau = 40,
+#: equilibrium at tau = 6.28.
+SHORT = {
+    "discrete": bundled_scenarios()["discrete-dichotomy"].to_dict() | {"horizon": 50.0},
+    "continuous": equilibrium_doc() | {"horizon": 10.0},
+}
+#: Relative offsets of a time from its sample grid point: on it, a roundoff
+#: off it, and off it by more than the step check's 1e-9 slack.
+OFF_GRID = st.sampled_from([0.0, 1e-12, -1e-12, 2e-10, -2e-10, 3e-9, -3e-9])
+
+
+@st.composite
+def almost_period_docs(draw):
+    """A short scenario with an almost-period block whose times lie on or
+    just off the sample grid."""
+    kind = draw(st.sampled_from(sorted(SHORT)))
+    dt = draw(st.sampled_from([0.5, 1.0, 2.0] if kind == "discrete" else [0.01, 0.02, 0.03]))
+
+    def near(multiples):
+        return draw(st.integers(*multiples)) * dt * (1.0 + draw(OFF_GRID))
+
+    lo = near((0, 5))
+    ap = {"epsilon": draw(st.sampled_from([0.1, 1.0])), "window_halfwidth": near((1, 40)),
+          "scan_range": [lo, lo + near((0, 60))]}
+    if draw(st.booleans()):
+        ap["sample_dt"] = dt * (1.0 + draw(OFF_GRID))
+    if draw(st.booleans()):
+        ap["scan_step"] = near((1, 3))
+    return SHORT[kind] | {"almost_periods": ap}
+
+
+@seed(20261020)
+@settings(max_examples=100, deadline=None)
+@given(almost_period_docs())
+def test_every_accepted_almost_period_block_runs(tmp_path_factory, doc):
+    # validate and run convert the scan's times to sample indices by one call
+    try:
+        scenario = Scenario.from_dict(doc)
+    except ConfigError:
+        return
+    rec = run_scenario(scenario, tmp_path_factory.mktemp("ap"), quiet=True)
+    assert rec.verdict != "error", rec.message
+    assert sorted(p.name for p in rec.run_dir.iterdir()) == sorted(RUN_FILES)
+    assert "almost_periods" in json.loads((rec.run_dir / "metadata.json").read_text())["stages"]

@@ -12,26 +12,13 @@ from favard import (
     TrajectorySample,
     sample_signal,
     scan_almost_periods,
-    vector_norm,
 )
+from favard.scenarios import _csv
+from favard.signals import scan_indices
 
 
 def make_sample(values, dt=0.1, t0=0.0):
     return TrajectorySample(t0=t0, dt=dt, values=np.asarray(values, dtype=float))
-
-
-class TestVectorNorm:
-    def test_euclidean(self):
-        assert vector_norm(np.array([3.0, 4.0]), "euclidean") == pytest.approx(5.0)
-
-    def test_delay_sum_blocks(self):
-        # two blocks of size 2: |(3,4)| + |(0,5)| = 10
-        v = np.array([3.0, 4.0, 0.0, 5.0])
-        assert vector_norm(v, "delay_sum", block=2) == pytest.approx(10.0)
-
-    def test_delay_sum_requires_block(self):
-        with pytest.raises(ValueError):
-            vector_norm(np.array([1.0, 2.0, 3.0]), "delay_sum", block=2)
 
 
 class TestAlmostPeriodScan:
@@ -73,6 +60,14 @@ class TestAlmostPeriodScan:
         with pytest.raises(CoverageError):
             scan_almost_periods(traj, 0.1, (0.0, 10.0), 0.01, 5.0)
 
+    def test_times_a_roundoff_off_the_grid_give_the_grid_indices(self):
+        # the window and range ends snap to the sample points they lie on
+        on = scan_indices(-20.0, 1.0, (0.0, 60.0), 1.0, 20.0)
+        off = scan_indices(-20.0000000002, 1.0, (0.0, 60.0000000003), 1.0000000001, 20.0000000002)
+        for a, b in zip(on, off):
+            np.testing.assert_array_equal(a, b)
+        assert on[:2] == (0, 41) and on[2][-1] == 60
+
     def test_scan_step_must_match_grid(self):
         traj = self.cosine_sample()
         with pytest.raises(ValueError):
@@ -81,10 +76,11 @@ class TestAlmostPeriodScan:
     def test_csv_layout(self):
         traj = self.cosine_sample()
         report = scan_almost_periods(traj, 0.05, (0.0, 30.0), 0.01, 10.0)
-        lines = report.to_csv().strip().splitlines()
+        rows = [(tau, 10.0, 0.05) for tau in report.periods.tolist()]
+        lines = _csv("almost_periods.csv", rows).strip().splitlines()
         assert lines[0] == "tau,window_L,epsilon"
         assert len(lines) == report.periods.size + 1
-
+        assert [tuple(map(float, line.split(","))) for line in lines[1:]] == rows
 
     def test_negative_shifts_need_the_sample_before_the_window(self):
         values = np.random.default_rng(2).normal(size=(201, 2))
@@ -108,7 +104,7 @@ def per_shift_scan(traj, epsilon, scan_range, scan_step, L, every=1):
     """The scan as one norm per shift, over every ``every``-th window point:
     the periods and every deviation."""
     step_idx = round(scan_step / traj.dt)
-    i_lo, i_hi = traj.index_of(-L), traj.index_of(L)
+    i_lo, i_hi = round((-L - traj.t0) / traj.dt), round((L - traj.t0) / traj.dt)
     base = traj.values[i_lo : i_hi + 1]
     k_lo = int(math.ceil(scan_range[0] / traj.dt - 1e-9))
     k_hi = int(math.floor(scan_range[1] / traj.dt + 1e-9))

@@ -18,6 +18,7 @@ from favard import (
     verify_fixed_point,
 )
 from favard.comparability import modulus_steps
+from favard.scenarios import _csv
 from favard.solver import TIE_BREAK_SLACK, ReturnMaps, march_maps
 
 SQRT2 = math.sqrt(2.0)
@@ -105,7 +106,6 @@ class TestNearReturns:
         sys = two_freq_system()
         rets = find_near_returns(sys, 1e-6, 50.0)
         assert len(rets) == 0
-        assert rets.to_csv() == "tau,delta\n"
 
     def test_discrete_scan_uses_integers(self):
         sys = telescoping_system()
@@ -116,9 +116,11 @@ class TestNearReturns:
     def test_csv_layout(self):
         sys = telescoping_system()
         rets = find_near_returns(sys, 0.05, 500.0)
-        lines = rets.to_csv().strip().splitlines()
+        rows = list(zip(rets.taus.tolist(), rets.deltas.tolist()))
+        lines = _csv("returns.csv", rows).strip().splitlines()
         assert lines[0] == "tau,delta"
         assert len(lines) == len(rets) + 1
+        assert [tuple(map(float, line.split(","))) for line in lines[1:]] == rows
 
 
 class TestReturnTable:
