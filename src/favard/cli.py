@@ -16,34 +16,33 @@ from .scenarios import (
     EXIT_ERROR,
     EXIT_INCONCLUSIVE,
     Scenario,
-    build_system,
     bundled_scenarios,
-    resolve_seed,
     run_scenario,
+    solve_scenario,
 )
-from .solver import FavardProblem, find_near_returns, grid_oracle, solve_minmax
+from .solver import grid_oracle
 
 
-def _load_scenario(token: str) -> Scenario:
+def _load_scenario(token: str) -> Scenario | None:
+    """The bundled scenario named ``token``, else the scenario file at that
+    path; None, with the reason on one line of stderr, when it does not load."""
     bundled = bundled_scenarios()
     if token in bundled:
         return bundled[token]
-    path = Path(token)
-    if not path.exists():
-        raise ConfigError("name", f"{token!r} is neither a bundled scenario nor a file")
-    return Scenario.from_dict(json.loads(path.read_text(encoding="utf-8")))
+    try:
+        return Scenario.from_dict(json.loads(Path(token).read_text(encoding="utf-8")))
+    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+        print(f"{token}: invalid: {exc}", file=_sys.stderr)
+        return None
 
 
-def _run_one(args_tuple) -> int:
-    scenario, out, quiet = args_tuple
-    return run_scenario(scenario, out, quiet=quiet).exit_code
+def _run_one(job) -> int:
+    return run_scenario(*job).exit_code
 
 
 def _cmd_run(args) -> int:
-    try:
-        scenarios = [_load_scenario(t) for t in args.scenario]
-    except (ConfigError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=_sys.stderr)
+    scenarios = [_load_scenario(t) for t in args.scenario]
+    if None in scenarios:
         return EXIT_ERROR
     jobs = [(s, args.out, args.quiet) for s in scenarios]
     if args.workers > 1 and len(jobs) > 1:
@@ -60,13 +59,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     status = EXIT_CERTIFIED
-    for token in args.file:
-        try:
-            scenario = Scenario.from_dict(json.loads(Path(token).read_text(encoding="utf-8")))
-            print(f"{token}: ok ({scenario.name})")
-        except (OSError, json.JSONDecodeError, ConfigError) as exc:
-            print(f"{token}: invalid: {exc}")
+    for token in args.scenario:
+        scenario = _load_scenario(token)
+        if scenario is None:
             status = EXIT_ERROR
+        else:
+            print(f"{token}: ok ({scenario.name})")
     return status
 
 
@@ -77,29 +75,18 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    """Cross-check the solver's minimizer against the brute-force grid."""
-    try:
-        scenario = _load_scenario(args.scenario)
-    except (ConfigError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=_sys.stderr)
+    """Cross-check the min-max solve of ``favard run`` against the brute-force grid."""
+    scenario = _load_scenario(args.scenario)
+    if scenario is None:
         return EXIT_ERROR
     try:
-        system = build_system(scenario)
-        system, u0 = resolve_seed(system, scenario)
-        returns = find_near_returns(
-            system, scenario.delta_cap, scenario.horizon, scenario.scan_step
-        )
-        if len(returns) == 0:
+        _, _, _, problem, result = solve_scenario(scenario, [], {})
+        if result is None:
             print("no near returns below delta_cap; nothing to cross-check")
             return EXIT_INCONCLUSIVE
-        problem = FavardProblem.from_returns(system, u0, returns)
-        result = solve_minmax(problem)
         u_grid, v_grid = grid_oracle(problem, resolution=args.resolution)
-    except FavardError as exc:
+    except (FavardError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=_sys.stderr)
-        return EXIT_ERROR
-    except ValueError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
         return EXIT_ERROR
     gap = abs(result.value - v_grid)
     if not args.quiet:
@@ -124,8 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--quiet", action="store_true", help="suppress progress lines")
     p_run.set_defaults(fn=_cmd_run)
 
-    p_val = sub.add_parser("validate", help="validate scenario JSON files")
-    p_val.add_argument("file", nargs="+")
+    p_val = sub.add_parser("validate", help="validate scenarios without running them")
+    p_val.add_argument("scenario", nargs="+", help="bundled scenario name or JSON file")
     p_val.set_defaults(fn=_cmd_validate)
 
     p_list = sub.add_parser("list", help="list bundled scenarios")

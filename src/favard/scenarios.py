@@ -2,7 +2,8 @@
 
 A scenario bundles a coefficient system with every knob of the analysis:
 seeding, near-return scan, min-max solve, fixed-point certificate, and
-comparability modulus.  ``run_scenario`` executes the pipeline and writes
+comparability modulus.  ``run_scenario`` executes the pipeline, its front
+half in ``solve_scenario`` (which ``favard oracle`` also runs), and writes
 a deterministic artifact directory; timestamps live in a separate
 metadata file so payload files are byte-identical across reruns.  This
 module alone knows the payload formats: each CSV is its header in
@@ -58,9 +59,6 @@ EMPTY_PAYLOAD = {
 #: A name becomes a directory under the output root, so it is one safe path
 #: component: letters, digits, '.', '_' and '-', not starting with '.'.
 _NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9._-]*")
-_SEED_FIELDS_STATE = {"state"}
-_SEED_FIELDS_LONG_RUN = {"long_run"}
-_LONG_RUN_FIELDS = {"start", "burn_in"}
 _AP_REQUIRED = {"epsilon", "window_halfwidth", "scan_range"}
 _AP_FIELDS = _AP_REQUIRED | {"scan_step", "sample_dt"}
 #: Most shifts one scan of a scenario may cover, and most points its
@@ -114,20 +112,17 @@ class Scenario:
             raise ConfigError("system", "must be a JSON object")
         try:
             spec = QuasiPeriodicSpec.from_dict(system)  # validate eagerly
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError("system", str(exc)) from exc
         base_phase = _numbers("base_phase", doc["base_phase"])
         if len(base_phase) != spec.num_frequencies:
             raise ConfigError("base_phase", f"needs {spec.num_frequencies} entries, one per frequency")
         seed = doc["seed"]
-        if not isinstance(seed, dict) or set(seed) not in (
-            _SEED_FIELDS_STATE,
-            _SEED_FIELDS_LONG_RUN,
-        ):
+        if not isinstance(seed, dict) or set(seed) not in ({"state"}, {"long_run"}):
             raise ConfigError("seed", "must contain exactly 'state' or 'long_run'")
         if "long_run" in seed:
             lr = seed["long_run"]
-            if not isinstance(lr, dict) or set(lr) != _LONG_RUN_FIELDS:
+            if not isinstance(lr, dict) or set(lr) != {"start", "burn_in"}:
                 raise ConfigError("seed.long_run", "must contain 'start' and 'burn_in'")
             if _number("seed.long_run.burn_in", lr["burn_in"]) <= 0:
                 raise ConfigError("seed.long_run.burn_in", "must be positive")
@@ -145,7 +140,7 @@ class Scenario:
             missing = _AP_REQUIRED - set(ap)
             if missing:
                 raise ConfigError(f"almost_periods.{sorted(missing)[0]}", "required field is missing")
-            _check_almost_periods(ap, 0.01 if spec.time_domain == "continuous" else 1.0)
+            _check_almost_periods(ap, spec.time_domain == "continuous")
         if _number("delta_cap", doc["delta_cap"]) <= 0:
             raise ConfigError("delta_cap", "must be positive")
         horizon = _number("horizon", doc["horizon"])
@@ -219,7 +214,7 @@ def _number(field: str, value) -> float:
     """``value`` as a finite float, else a :class:`ConfigError` naming ``field``."""
     try:
         x = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(field, "must be a number") from None
     if not math.isfinite(x):
         raise ConfigError(field, "must be finite")
@@ -232,22 +227,31 @@ def _numbers(field: str, values) -> tuple:
     return tuple(_number(field, v) for v in values)
 
 
-def _check_almost_periods(ap: dict, default_dt: float) -> None:
-    """Reject the ``almost_periods`` values on which the scan cannot run."""
+def _check_almost_periods(ap: dict, continuous: bool) -> tuple:
+    """The ``almost_periods`` values ``(sample_dt, window_halfwidth, epsilon,
+    scan_range, scan_step)``, defaults filled in; a :class:`ConfigError` for
+    values on which the scan cannot run."""
     num = {k: _number(f"almost_periods.{k}", v) for k, v in ap.items() if k != "scan_range"}
     scan_range = _numbers("almost_periods.scan_range", ap["scan_range"])
     if len(scan_range) != 2 or not 0 <= scan_range[0] <= scan_range[1]:
         raise ConfigError("almost_periods.scan_range", "needs 2 entries, [lo, hi] with 0 <= lo <= hi")
-    for key in ("epsilon", "window_halfwidth", "sample_dt"):
-        if num.get(key, default_dt) <= 0:
+    dt = num.setdefault("sample_dt", 0.01 if continuous else 1.0)
+    num.setdefault("scan_step", dt)
+    for key in ("epsilon", "window_halfwidth", "sample_dt", "scan_step"):
+        if num[key] <= 0:
             raise ConfigError(f"almost_periods.{key}", "must be positive")
-    dt, L = num.get("sample_dt", default_dt), num["window_halfwidth"]
-    if (2 * L + scan_range[1]) / dt > _MAX_POINTS:
-        raise ConfigError("almost_periods.sample_dt", f"samples more than {_MAX_POINTS} points")
+    L, step = num["window_halfwidth"], num["scan_step"]
+    too_many = f"samples more than {_MAX_POINTS} points"
+    # shifts are distinct sample points: twice the cap's worth cannot fit, and are never listed
+    if scan_range[1] - scan_range[0] > 2 * _MAX_POINTS * step:
+        raise ConfigError("almost_periods.sample_dt", too_many)
     try:  # the scan's own conversion of its times, so a scenario that validates runs
-        scan_indices(-L, dt, scan_range, num.get("scan_step", dt), L)
+        _, hi, shifts = scan_indices(-L, dt, scan_range, step, L)
     except ValueError:
         raise ConfigError("almost_periods.scan_step", "must be a positive whole multiple of sample_dt") from None
+    if hi + shifts.max(initial=0) > _MAX_POINTS:  # the points the run samples, from -L on
+        raise ConfigError("almost_periods.sample_dt", too_many)
+    return dt, L, num["epsilon"], scan_range, step
 
 
 @dataclass(frozen=True)
@@ -331,12 +335,12 @@ def _stage(stages: dict, name: str):
         stages[name] = time.perf_counter() - start
 
 
-def _analyse(scenario: Scenario, digest: str, files: dict, lines: list, meta: dict) -> dict:
-    """Run the pipeline stages, filling ``files``, the summary ``lines`` and
-    the stage timings and table counters of ``meta``.
+def solve_scenario(scenario: Scenario, lines: list, meta: dict) -> tuple:
+    """The pipeline's front half, seed to min-max solve, appending its summary
+    line to ``lines`` and its stage timings and table counters to ``meta``.
 
-    Returns the outcome's :class:`RunRecord` fields other than the scenario,
-    the run directory and the exit code.
+    Returns ``(system, returns, table, problem, result)``, the system
+    re-anchored after any burn-in; the last three are None with no returns.
     """
     stages = meta["stages"] = {}
     with _stage(stages, "seed"):
@@ -344,11 +348,9 @@ def _analyse(scenario: Scenario, digest: str, files: dict, lines: list, meta: di
         sys, u0 = resolve_seed(sys, scenario)
     with _stage(stages, "near_returns"):
         returns = find_near_returns(sys, scenario.delta_cap, scenario.horizon, scenario.scan_step)
-    files["returns.csv"] = _csv("returns.csv", zip(returns.taus.tolist(), returns.deltas.tolist()))
     lines.append(f"near_returns: {len(returns)} (delta_cap {scenario.delta_cap!r})")
     if len(returns) == 0:
-        return {"verdict": "inconclusive",
-                "message": "no near returns below delta_cap within the horizon"}
+        return sys, returns, None, None, None
 
     # one march serves the return maps and the comparability scan
     span = scenario.comparability_horizon or scenario.horizon
@@ -359,7 +361,22 @@ def _analyse(scenario: Scenario, digest: str, files: dict, lines: list, meta: di
     with _stage(stages, "solve"):
         problem = FavardProblem.from_returns(sys, u0, returns, table)
         result = solve_minmax(problem)
-    grid = scenario.delta_grid or DEFAULT_DELTA_GRID
+    return sys, returns, table, problem, result
+
+
+def _analyse(scenario: Scenario, digest: str, files: dict, lines: list, meta: dict) -> dict:
+    """Run the pipeline stages, filling ``files``, the summary ``lines`` and
+    the stage timings and table counters of ``meta``.
+
+    Returns the outcome's :class:`RunRecord` fields other than the scenario,
+    the run directory and the exit code.
+    """
+    sys, returns, table, problem, result = solve_scenario(scenario, lines, meta)
+    files["returns.csv"] = _csv("returns.csv", zip(returns.taus.tolist(), returns.deltas.tolist()))
+    if result is None:
+        return {"verdict": "inconclusive",
+                "message": "no near returns below delta_cap within the horizon"}
+    stages, grid = meta["stages"], scenario.delta_grid or DEFAULT_DELTA_GRID
     with _stage(stages, "certificate"):
         report = verify_fixed_point(sys, result.u_bar, problem.maps, grid)
     favard_doc = {
@@ -390,9 +407,10 @@ def _analyse(scenario: Scenario, digest: str, files: dict, lines: list, meta: di
     comp = None
     if report.verdict == "certified":
         with _stage(stages, "modulus"):
-            comp = estimate_modulus(sys, result.u_bar, scenario.epsilons, span, delta_grid=grid,
-                                    min_tau=scenario.min_tau, scan_step=scenario.scan_step,
-                                    table=table)
+            comp = estimate_modulus(sys, result.u_bar, scenario.epsilons,
+                                    scenario.comparability_horizon or scenario.horizon,
+                                    delta_grid=grid, min_tau=scenario.min_tau,
+                                    scan_step=scenario.scan_step, table=table)
         rows = zip(comp.epsilons, comp.deltas, [comp.horizon] * len(comp.deltas), comp.counts)
         files["comparability.csv"] = _csv("comparability.csv", rows)
         for eps, dlt in zip(comp.epsilons, comp.deltas):
@@ -400,11 +418,7 @@ def _analyse(scenario: Scenario, digest: str, files: dict, lines: list, meta: di
     del table  # not held through the almost-period scan
 
     if scenario.almost_periods is not None:
-        ap = dict(scenario.almost_periods)
-        dt = float(ap.get("sample_dt", 0.01 if sys.continuous else 1.0))
-        L, eps = float(ap["window_halfwidth"]), float(ap["epsilon"])
-        scan_range = tuple(float(x) for x in ap["scan_range"])
-        step = float(ap.get("scan_step", dt))
+        dt, L, eps, scan_range, step = _check_almost_periods(scenario.almost_periods, sys.continuous)
         with _stage(stages, "almost_periods"):
             _, end, shifts = scan_indices(-L, dt, scan_range, step, L)
             count = end + int(shifts.max(initial=0))  # the indices the scan reads, from -L on
@@ -486,6 +500,20 @@ def _const_matrix(value, m: int) -> list[dict]:
 def bundled_scenarios() -> dict[str, Scenario]:
     """Named example scenarios shipped with the package."""
     c1, s1 = math.cos(1.0), math.sin(1.0)
+    dichotomy = {  # the two-frequency stable flow, settled by a burn-in
+        "system": {
+            "frequencies": [1.0, math.sqrt(2.0)],
+            "matrix_terms": _const_matrix([[-1.0]], 2),
+            "forcing_terms": [
+                {"k": [1, 0], "cos": [1.0], "sin": [0.0]},
+                {"k": [0, 1], "cos": [1.0], "sin": [0.0]},
+            ],
+            "time_domain": "continuous",
+            "dimension": 1,
+        },
+        "base_phase": [0.0, 0.0],
+        "seed": {"long_run": {"start": [0.0], "burn_in": 200.0}},
+    }
     docs = [
         {
             "name": "equilibrium",
@@ -503,21 +531,9 @@ def bundled_scenarios() -> dict[str, Scenario]:
             "horizon": 200.0,
             "epsilons": [0.1, 0.01],
         },
-        {
+        dichotomy | {
             "name": "quasiperiodic-dichotomy",
             "description": "x' = -x + cos t + cos sqrt(2) t, two-frequency stable flow",
-            "system": {
-                "frequencies": [1.0, math.sqrt(2.0)],
-                "matrix_terms": _const_matrix([[-1.0]], 2),
-                "forcing_terms": [
-                    {"k": [1, 0], "cos": [1.0], "sin": [0.0]},
-                    {"k": [0, 1], "cos": [1.0], "sin": [0.0]},
-                ],
-                "time_domain": "continuous",
-                "dimension": 1,
-            },
-            "base_phase": [0.0, 0.0],
-            "seed": {"long_run": {"start": [0.0], "burn_in": 200.0}},
             "delta_cap": 0.05,
             "horizon": 800.0,
             "epsilons": [0.1, 0.03, 0.01],
@@ -578,21 +594,9 @@ def bundled_scenarios() -> dict[str, Scenario]:
             "horizon": 2000.0,
             "epsilons": [0.1, 0.01],
         },
-        {
+        dichotomy | {
             "name": "dichotomy-coarse-grid",
             "description": "two-frequency stable flow on a coarse certificate grid (inconclusive)",
-            "system": {
-                "frequencies": [1.0, math.sqrt(2.0)],
-                "matrix_terms": _const_matrix([[-1.0]], 2),
-                "forcing_terms": [
-                    {"k": [1, 0], "cos": [1.0], "sin": [0.0]},
-                    {"k": [0, 1], "cos": [1.0], "sin": [0.0]},
-                ],
-                "time_domain": "continuous",
-                "dimension": 1,
-            },
-            "base_phase": [0.0, 0.0],
-            "seed": {"long_run": {"start": [0.0], "burn_in": 200.0}},
             "delta_cap": 0.05,
             "horizon": 500.0,
             "delta_grid": [0.05, 0.03],

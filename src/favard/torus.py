@@ -48,6 +48,14 @@ def reduce_phase(theta: np.ndarray) -> np.ndarray:
     return np.where(r >= TWO_PI, 0.0, r)
 
 
+def _whole(name: str, values) -> np.ndarray:
+    """``values`` as integers: a ValueError unless whole (1.0 is, 1.5 is not)."""
+    ints = np.asarray(values, dtype=int)
+    if not np.array_equal(ints, np.asarray(values, dtype=float)):
+        raise ValueError(f"{name} must be whole, got {values!r}")
+    return ints
+
+
 def angular_distance(theta: np.ndarray) -> np.ndarray:
     """Distance of each coordinate to 0 along the circle, in [0, pi]."""
     r = np.mod(theta, TWO_PI)
@@ -136,7 +144,7 @@ class TrigPolynomial:
     def from_terms(cls, terms: list[dict]) -> "TrigPolynomial":
         if not terms:
             raise ValueError("a trigonometric polynomial needs at least one term")
-        idx = np.array([t["k"] for t in terms], dtype=int)
+        idx = _whole("term indices k", [t["k"] for t in terms])
         cc = np.array([t["cos"] for t in terms], dtype=float)
         sc = np.array([t["sin"] for t in terms], dtype=float)
         return cls(idx, cc, sc)
@@ -320,6 +328,6 @@ class QuasiPeriodicSpec:
             matrix_form=TrigPolynomial.from_terms(doc["matrix_terms"]),
             forcing_form=forcing,
             time_domain=doc.get("time_domain", "continuous"),
-            dimension=int(doc.get("dimension", 1)),
-            delay_order=int(doc.get("delay_order", 0)),
+            dimension=int(_whole("dimension", doc.get("dimension", 1))),
+            delay_order=int(_whole("delay_order", doc.get("delay_order", 0))),
         )

@@ -66,18 +66,40 @@ def test_validate_good_and_bad(tmp_path, capsys):
     doc["mystery"] = True
     bad.write_text(json.dumps(doc))
     assert main(["validate", str(bad)]) == 1
-    out = capsys.readouterr().out
-    assert "invalid" in out and "mystery" in out
+    err = capsys.readouterr().err
+    assert "invalid" in err and "mystery" in err
 
 
 def test_validate_unreadable_file(tmp_path):
     assert main(["validate", str(tmp_path / "missing.json")]) == 1
 
 
+def test_validate_takes_bundled_names(capsys):
+    # validate loads what run loads
+    assert main(["validate", "equilibrium"]) == 0
+    assert capsys.readouterr().out == "equilibrium: ok (equilibrium)\n"
+
+
+@pytest.mark.parametrize("command", [["run", "--quiet"], ["validate"], ["oracle"]])
+def test_a_directory_is_a_one_line_error(tmp_path, capsys, command):
+    assert main(command[:1] + [str(tmp_path)] + command[1:]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{tmp_path}: invalid: ") and err.count("\n") == 1
+
+
 def test_oracle_cross_check_agrees(capsys):
     assert main(["oracle", "telescoping-discrete"]) == 0
     out = capsys.readouterr().out
     assert "gap" in out
+
+
+def test_oracle_checks_the_problem_the_run_solved(tmp_path, capsys):
+    # the run's last march chunk also covers the modulus shifts; the oracle's must too
+    assert main(["run", "dichotomy-coarse-grid", "--out", str(tmp_path), "--quiet"]) == 2
+    doc = json.loads(next(tmp_path.glob("*/run-001/favard.json")).read_text())
+    assert main(["oracle", "dichotomy-coarse-grid"]) == 0
+    solver_line = capsys.readouterr().out.splitlines()[0]
+    assert solver_line == f"solver: value {doc['objective_value']!r} at {doc['u_bar']!r}"
 
 
 def test_oracle_no_returns(capsys, tmp_path):

@@ -127,6 +127,19 @@ class TestScenarioValidation:
                 {"k": [1, 0, 0], "cos": [1.0], "sin": [0.0]}]}}, "system"),
             ("system", SYSTEM | {"reciprocal": {"c": 2.0, "q_terms": [
                 {"k": [1], "cos": [1.0, 1.0], "sin": [0.0, 0.0]}]}}, "system"),
+            # JSON's 1e400 reads as inf; 10**30 overflows an int64 index
+            ("system", SYSTEM | {"dimension": math.inf}, "system"),
+            ("system", SYSTEM | {"delay_order": math.inf}, "system"),
+            ("system", SYSTEM | {"forcing_terms": [{"k": [10**30], "cos": [1.0], "sin": [0.0]}]},
+             "system"),
+            ("system", SYSTEM | {"dimension": 1.5}, "system"),
+            ("system", SYSTEM | {"delay_order": 0.5}, "system"),
+            ("system", SYSTEM | {"forcing_terms": [{"k": [0.5], "cos": [1.0], "sin": [0.0]}]},
+             "system"),
+            pytest.param("horizon", 10**400, "horizon", id="horizon-10**400-horizon"),
+            # window points 0..500,000 plus shifts up to 500,000: 1,000,001 points
+            ("almost_periods", AP | {"sample_dt": 1.0, "window_halfwidth": 250000.0,
+                                     "scan_range": [0.0, 500000.0]}, "almost_periods.sample_dt"),
         ],
     )
     def test_hostile_input_rejected(self, key, value, field):
@@ -135,6 +148,19 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError) as exc:
             Scenario.from_dict(doc)
         assert exc.value.field == field
+
+    def test_whole_number_floats_are_accepted(self):
+        terms = [{"k": [1.0], "cos": [1.0], "sin": [0.0]}]
+        doc = equilibrium_doc()
+        doc["system"] = SYSTEM | {"dimension": 1.0, "delay_order": 0.0, "forcing_terms": terms}
+        spec = build_system(Scenario.from_dict(doc)).spec
+        assert (spec.dimension, spec.delay_order) == (1, 0)
+        assert spec.forcing_form.indices.tolist() == [[1]]
+
+    def test_almost_period_sample_of_exactly_the_cap_is_accepted(self):
+        # window points 0..500,000 plus shifts up to 499,999: the run samples 1,000,000
+        ap = AP | {"sample_dt": 1.0, "window_halfwidth": 250000.0, "scan_range": [0.0, 499999.0]}
+        Scenario.from_dict(equilibrium_doc() | {"almost_periods": ap})
 
     def test_digest_stable_and_sensitive(self):
         a = Scenario.from_dict(equilibrium_doc())
