@@ -11,8 +11,6 @@ __version__ = "0.1.0"
 
 from .cocycle import (
     CocycleSystem,
-    DelayState,
-    FundamentalMatrix,
     affine_map_samples,
     affine_path,
     estimate_bound_constant,

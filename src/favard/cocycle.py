@@ -77,12 +77,8 @@ class CocycleSystem:
         return self.h if self.continuous else 1.0
 
     def steps(self, t):
-        """Whole march steps in the nonnegative time(s) ``t``.
-
-        The only conversion of a time to a step count: the ``1e-9`` slack
-        keeps a grid time that roundoff put just below its step on it.
-        """
-        return np.floor(np.asarray(t, dtype=float) / self.step + 1e-9).astype(int)
+        """Whole march steps in the nonnegative time(s) ``t`` (:func:`_whole_steps`)."""
+        return _whole_steps(t, self.step)[0]
 
     def stride(self, scan_step: float | None = None) -> int:
         """Whole march steps in ``scan_step`` (default 0.01, or 1 in discrete
@@ -100,10 +96,6 @@ class CocycleSystem:
     def state_dim(self) -> int:
         return self.spec.stacked_dimension
 
-    @property
-    def norm_kind(self) -> str:
-        return "delay_sum" if self.spec.delay_order > 0 else "euclidean"
-
     def state_norm(self, v) -> np.ndarray:
         """Norm of each row of a (..., state_dim) array: the sum of the Euclidean
         norms of its n-blocks, the history-segment norm of a delay state.
@@ -119,20 +111,19 @@ class CocycleSystem:
         return replace(self, base_phase=self.spec.phase_at(self.base_phase, s))
 
 
-@dataclass(frozen=True)
-class FundamentalMatrix:
-    t: float
-    U: np.ndarray
+def _whole_steps(t, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Whole steps of length ``step`` in the nonnegative time(s) ``t``, and the
+    time left over past them: the one conversion of a time to a step count.
 
-
-@dataclass(frozen=True)
-class DelayState:
-    """History segment (u(t), u(t-1), ..., u(t-r)) of a delay recursion."""
-
-    history: tuple
-
-    def stacked(self) -> np.ndarray:
-        return np.concatenate([np.atleast_1d(np.asarray(h, dtype=float)) for h in self.history])
+    A time within a relative ``1e-12`` of a step is on it, with nothing left
+    over: floating-point ``k * step`` can fall a few units in the last place
+    short of the k-th step, and so still counts as k steps for every k below
+    10^11, far past the march-step cap of a scenario.
+    """
+    t = np.asarray(t, dtype=float)
+    n = np.floor(t * ((1.0 + 1e-12) / step))
+    rest = t - n * step
+    return n.astype(int), np.where(rest > 1e-12 * t, rest, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +271,7 @@ def affine_path(sys: CocycleSystem, taus) -> tuple[np.ndarray, np.ndarray]:
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     if np.any(taus < 0):
         raise ValueError("affine_path takes nonnegative shifts")
-    n_full = sys.steps(taus)
-    rem = taus - n_full * sys.step
-    rem[np.abs(rem) < sys.step * 1e-9] = 0.0
+    n_full, rem = _whole_steps(taus, sys.step)
     if not sys.continuous and np.any(rem):
         raise ValueError("discrete-time shifts must be integers")
     n = sys.state_dim
@@ -296,19 +285,17 @@ def affine_path(sys: CocycleSystem, taus) -> tuple[np.ndarray, np.ndarray]:
 # public operations
 
 
-def fundamental_matrix(sys: CocycleSystem, t: float) -> FundamentalMatrix:
+def fundamental_matrix(sys: CocycleSystem, t: float) -> np.ndarray:
     """Homogeneous propagator U(t) with U(0) = I, at a time ``t >= 0``."""
     if t == 0:
-        return FundamentalMatrix(0.0, np.eye(sys.state_dim))
+        return np.eye(sys.state_dim)
     U = affine_path(sys, [float(t)])[0][0]
     if sys.continuous and np.linalg.det(U) <= 0:
         raise BlowUpError("fundamental matrix lost positivity of the determinant", t=t)
-    return FundamentalMatrix(float(t), U)
+    return U
 
 
 def _as_state(sys: CocycleSystem, u) -> np.ndarray:
-    if isinstance(u, DelayState):
-        u = u.stacked()
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if u.size != sys.state_dim:
         raise ValueError(f"state dimension {u.size} != system dimension {sys.state_dim}")

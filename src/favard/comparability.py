@@ -34,7 +34,6 @@ class ComparabilityReport:
     horizon: float
     min_tau: float
     scan_step: float
-    solution_norm_kind: str
 
     def __post_init__(self):
         if not (len(self.epsilons) == len(self.deltas) == len(self.counts)):
@@ -98,5 +97,4 @@ def estimate_modulus(
         horizon=float(horizon),
         min_tau=float(min_tau),
         scan_step=float(taus[0]),
-        solution_norm_kind=sys.norm_kind,
     )

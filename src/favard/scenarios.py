@@ -104,28 +104,30 @@ class Scenario:
         for f in fields(cls):
             if f.default is MISSING and f.name not in doc:
                 raise ConfigError(f.name, "required field is missing")
-        name = doc["name"]
-        if not isinstance(name, str) or not _NAME.fullmatch(name):
+        # the defaults, then a copy of the document, its values replaced as validated
+        values = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+        values |= copy.deepcopy(doc)
+        if not isinstance(values["name"], str) or not _NAME.fullmatch(values["name"]):
             raise ConfigError("name", "only letters, digits, '.', '_' and '-', not starting with '.'")
-        system = doc["system"]
+        values["description"] = str(values["description"])
+        system = values["system"]
         if not isinstance(system, dict):
             raise ConfigError("system", "must be a JSON object")
         try:
             spec = QuasiPeriodicSpec.from_dict(system)  # validate eagerly
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError("system", str(exc)) from exc
-        base_phase = _numbers("base_phase", doc["base_phase"])
+        base_phase = values["base_phase"] = _numbers("base_phase", values["base_phase"])
         if len(base_phase) != spec.num_frequencies:
             raise ConfigError("base_phase", f"needs {spec.num_frequencies} entries, one per frequency")
-        seed = doc["seed"]
+        seed, burn_in = values["seed"], 0.0
         if not isinstance(seed, dict) or set(seed) not in ({"state"}, {"long_run"}):
             raise ConfigError("seed", "must contain exactly 'state' or 'long_run'")
         if "long_run" in seed:
             lr = seed["long_run"]
             if not isinstance(lr, dict) or set(lr) != {"start", "burn_in"}:
                 raise ConfigError("seed.long_run", "must contain 'start' and 'burn_in'")
-            if _number("seed.long_run.burn_in", lr["burn_in"]) <= 0:
-                raise ConfigError("seed.long_run.burn_in", "must be positive")
+            burn_in = _positive("seed.long_run.burn_in", lr["burn_in"])
             state_field, state = "seed.long_run.start", lr["start"]
         else:
             state_field, state = "seed.state", seed["state"]
@@ -133,7 +135,7 @@ class Scenario:
             raise ConfigError(
                 state_field, f"needs {spec.stacked_dimension} entries, the stacked state dimension"
             )
-        ap = doc.get("almost_periods")
+        ap = values["almost_periods"]
         if ap is not None:
             if not isinstance(ap, dict) or set(ap) - _AP_FIELDS:
                 raise ConfigError("almost_periods", f"fields must be among {sorted(_AP_FIELDS)}")
@@ -141,32 +143,25 @@ class Scenario:
             if missing:
                 raise ConfigError(f"almost_periods.{sorted(missing)[0]}", "required field is missing")
             _check_almost_periods(ap, spec.time_domain == "continuous")
-        if _number("delta_cap", doc["delta_cap"]) <= 0:
-            raise ConfigError("delta_cap", "must be positive")
-        horizon = _number("horizon", doc["horizon"])
-        if horizon <= 0:
-            raise ConfigError("horizon", "must be positive")
-        comp_horizon = doc.get("comparability_horizon")
+        values["delta_cap"] = _positive("delta_cap", values["delta_cap"])
+        horizon = values["horizon"] = _positive("horizon", values["horizon"])
+        comp_horizon = values["comparability_horizon"]
         if comp_horizon is not None:
-            comp_horizon = _number("comparability_horizon", comp_horizon)
-            if comp_horizon <= 0:
-                raise ConfigError("comparability_horizon", "must be positive")
-        min_tau = _number("min_tau", doc.get("min_tau", 0.0))
+            comp_horizon = _positive("comparability_horizon", comp_horizon)
+            values["comparability_horizon"] = comp_horizon
+        min_tau = values["min_tau"] = _number("min_tau", values["min_tau"])
         if not 0 <= min_tau < (comp_horizon or horizon):
             raise ConfigError("min_tau", "must be at least 0 and below the comparability horizon")
-        h = _number("h", doc.get("h", 1e-3))
-        if h <= 0:
-            raise ConfigError("h", "must be positive")
-        scan_step = None if doc.get("scan_step") is None else _number("scan_step", doc["scan_step"])
-        if scan_step is not None and scan_step <= 0:
-            raise ConfigError("scan_step", "must be positive")
-        march = CocycleSystem(spec, np.array(base_phase), h)
+        values["h"] = _positive("h", values["h"])
+        scan_step = values["scan_step"]
+        if scan_step is not None:
+            scan_step = values["scan_step"] = _positive("scan_step", scan_step)
+        march = CocycleSystem(spec, np.array(base_phase), values["h"])
         spacing = march.stride(scan_step) * march.step  # of the near-return and modulus scans
         span = (comp_horizon or horizon) - min_tau
         for field, length in (("horizon", horizon), ("comparability_horizon", span)):
             if length / spacing > _MAX_POINTS:
                 raise ConfigError(field, f"scans more than {_MAX_POINTS} shifts")
-        burn_in = float(seed["long_run"]["burn_in"]) if "long_run" in seed else 0.0
         longest = max((burn_in, "seed.long_run.burn_in"), (horizon, "horizon"),
                       (comp_horizon or 0.0, "comparability_horizon"))
         if (burn_in + max(horizon, comp_horizon or 0.0)) / march.step > _MAX_STEPS:
@@ -174,30 +169,10 @@ class Scenario:
         if (comp_horizon is not None or min_tau > 0) and march.steps(span) < march.stride(scan_step):
             raise ConfigError("min_tau" if min_tau > 0 else "comparability_horizon",
                               "leaves a comparability scan shorter than one scan step")
-        eps = _numbers("epsilons", doc["epsilons"])
-        if not eps or any(e <= 0 for e in eps):
-            raise ConfigError("epsilons", "must be a nonempty list of positive numbers")
-        grid = doc.get("delta_grid")
-        if grid is not None:
-            grid = _numbers("delta_grid", grid)
-            if not grid or any(g <= 0 for g in grid):
-                raise ConfigError("delta_grid", "must be a nonempty list of positive numbers")
-        return cls(
-            name=name,
-            description=str(doc.get("description", "")),
-            system=copy.deepcopy(system),
-            base_phase=base_phase,
-            seed=copy.deepcopy(seed),
-            delta_cap=float(doc["delta_cap"]),
-            horizon=horizon,
-            epsilons=eps,
-            h=h,
-            scan_step=scan_step,
-            delta_grid=grid,
-            comparability_horizon=comp_horizon,
-            min_tau=min_tau,
-            almost_periods=copy.deepcopy(ap),
-        )
+        values["epsilons"] = _positive("epsilons", values["epsilons"], many=True)
+        if values["delta_grid"] is not None:
+            values["delta_grid"] = _positive("delta_grid", values["delta_grid"], many=True)
+        return cls(**values)
 
     def to_dict(self) -> dict:
         """The scenario file, a copy: unset optional fields left out, tuples as lists."""
@@ -225,6 +200,20 @@ def _numbers(field: str, values) -> tuple:
     if not isinstance(values, (list, tuple)):
         raise ConfigError(field, "must be a list of numbers")
     return tuple(_number(field, v) for v in values)
+
+
+def _positive(field: str, value, many: bool = False):
+    """``value`` as a positive finite float, or with ``many`` a nonempty tuple
+    of them; else a :class:`ConfigError` naming ``field``."""
+    if many:
+        values = _numbers(field, value)
+        if not values or min(values) <= 0:
+            raise ConfigError(field, "must be a nonempty list of positive numbers")
+        return values
+    x = _number(field, value)
+    if x <= 0:
+        raise ConfigError(field, "must be positive")
+    return x
 
 
 def _check_almost_periods(ap: dict, continuous: bool) -> tuple:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import CocycleSystem, _as_state, affine_map_samples
+from .cocycle import CocycleSystem, _as_state, affine_map_samples, check_bounded
 from .errors import SolverError
 
 _HULL_RANK_TOL = 1e-10
@@ -142,12 +142,15 @@ class FavardProblem:
         table: ReturnMaps | None = None,
     ) -> "FavardProblem":
         """The problem over the maps at the returns, read from ``table``
-        (by default a march over the returns alone)."""
+        (by default a march over the returns alone).  A return image of the
+        anchor beyond the bounded-orbit threshold is a blow-up."""
         anchor = _as_state(sys, anchor)
         if len(returns) == 0:
             raise ValueError("cannot build a problem without near returns")
         maps = (march_maps(sys, returns.steps) if table is None else table).rows(returns.steps)
         hull = maps.Phi @ anchor + maps.b
+        check_bounded(float(np.max(sys.state_norm(hull))), float(sys.state_norm(anchor)),
+                      "return image of the anchor")
         return cls(system=sys, anchor=anchor, maps=maps, hull_points=hull)
 
     def objective(self, u: np.ndarray) -> float:
@@ -466,12 +469,11 @@ def verify_fixed_point(
     u_bar,
     maps,
     delta_grid,
-    tolerance: float | None = None,
 ) -> FixedPointReport:
-    """Certify ``u_bar`` as a common fixed point of the return maps ``maps``."""
+    """Certify ``u_bar`` as a common fixed point of the return maps ``maps``,
+    at the tolerance :func:`default_certificate_tolerance`."""
     u = _as_state(sys, u_bar)
-    if tolerance is None:
-        tolerance = default_certificate_tolerance(sys)
+    tolerance = default_certificate_tolerance(sys)
     residuals = sys.state_norm(maps.Phi @ u + maps.b - u)
     grid = sorted(delta_grid, reverse=True)
     curve, counts = residual_curve(maps.delta, residuals, grid)

@@ -130,16 +130,6 @@ class TrigPolynomial:
             out[a : a + rows] = (Y.reshape(-1, 2 * T) @ F).reshape(-1, V, B).transpose(0, 2, 1)
         return out.reshape(-1, V)[:count].reshape(count, *self.value_shape)
 
-    def to_terms(self) -> list[dict]:
-        return [
-            {
-                "k": [int(v) for v in self.indices[i]],
-                "cos": self.cos_coeffs[i].tolist(),
-                "sin": self.sin_coeffs[i].tolist(),
-            }
-            for i in range(self.indices.shape[0])
-        ]
-
     @classmethod
     def from_terms(cls, terms: list[dict]) -> "TrigPolynomial":
         if not terms:
@@ -287,26 +277,6 @@ class QuasiPeriodicSpec:
         """
         tau = np.asarray(tau, dtype=float)
         return np.max(angular_distance(np.multiply.outer(self.frequencies, tau)), axis=0)
-
-    # -- serialization ----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        doc = {
-            "frequencies": self.frequencies.tolist(),
-            "matrix_terms": self.matrix_form.to_terms(),
-            "time_domain": self.time_domain,
-            "dimension": self.dimension,
-            "delay_order": self.delay_order,
-        }
-        if isinstance(self.forcing_form, ReciprocalForcing):
-            doc["forcing_terms"] = self.forcing_form.numerator.to_terms()
-            doc["reciprocal"] = {
-                "c": self.forcing_form.c,
-                "q_terms": self.forcing_form.q.to_terms(),
-            }
-        else:
-            doc["forcing_terms"] = self.forcing_form.to_terms()
-        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "QuasiPeriodicSpec":

@@ -18,7 +18,6 @@ from favard import (
     QuasiPeriodicSpec,
     ReciprocalForcing,
     TrigPolynomial,
-    DelayState,
     estimate_modulus,
     evaluate_affine,
     find_near_returns,
@@ -195,7 +194,7 @@ def test_criterion_2_closed_form_oracle():
         "dimension": 1,
     }
     hom = CocycleSystem(QuasiPeriodicSpec.from_dict(doc), np.zeros(1))
-    U = fundamental_matrix(hom, 1.0).U[0, 0]
+    U = fundamental_matrix(hom, 1.0)[0, 0]
     ok = abs(val - 0.5) <= 1e-6 and abs(U - math.exp(-1.0)) <= 1e-8
     report(
         "criterion-2 closed-form oracle",

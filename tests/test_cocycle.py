@@ -9,7 +9,6 @@ import favard.cocycle
 from favard import (
     BlowUpError,
     CocycleSystem,
-    DelayState,
     QuasiPeriodicSpec,
     affine_map_samples,
     affine_path,
@@ -83,7 +82,7 @@ class TestContinuousOracles:
             "dimension": 1,
         }
         sys = CocycleSystem(QuasiPeriodicSpec.from_dict(doc), np.zeros(1))
-        U = fundamental_matrix(sys, 1.0).U
+        U = fundamental_matrix(sys, 1.0)
         assert U[0, 0] == pytest.approx(math.exp(-1.0), abs=1e-8)
 
     def test_periodic_bounded_solution(self):
@@ -127,6 +126,39 @@ class TestContinuousOracles:
         t = 0.0005  # half an integrator step
         expected = (math.cos(t) + math.sin(t)) / 2
         assert evaluate_affine(sys, [0.5], t)[0] == pytest.approx(expected, abs=1e-10)
+
+
+class TestStepConversion:
+    #: the first step counts k whose time k * h an absolute 1e-9 step slack reads as k - 1
+    FIRST_SHORT = {1e-3: 32_768_005, 1e-4: 20_480_004}
+
+    @pytest.mark.parametrize("h", [1e-3, 1e-4, 0.01])
+    def test_every_product_of_a_step_count_is_that_count(self, h):
+        k = np.random.default_rng(7).integers(1, 10**8, 100_000)
+        k = np.concatenate([k, [1, 10**8], list(self.FIRST_SHORT.values())])
+        sys = decay_system(h=h)
+        np.testing.assert_array_equal(sys.steps(k * sys.step), k)
+        # a time between two steps rounds down
+        np.testing.assert_array_equal(sys.steps((k + 0.5) * sys.step), k)
+
+    @pytest.mark.parametrize("h", sorted(FIRST_SHORT))
+    def test_a_grid_shift_takes_no_partial_step(self, h, monkeypatch):
+        # the march itself is stubbed: only the split of each shift is checked
+        k = self.FIRST_SHORT[h]
+        ends = []
+
+        def prefix_products(build, steps, n):
+            ends.append(steps.tolist())
+            return np.tile(np.eye(n, n + 1), (steps.size, 1, 1))
+
+        def partial_step(*args):
+            raise AssertionError("partial RK4 step on a grid shift")
+
+        monkeypatch.setattr(favard.cocycle, "_prefix_products", prefix_products)
+        monkeypatch.setattr(favard.cocycle, "_continuous_propagators", partial_step)
+        sys = decay_system(h=h)
+        affine_path(sys, np.array([k, 10**8]) * sys.step)
+        assert ends == [[k, 10**8]]
 
 
 def zero_system(n, r):
@@ -189,18 +221,12 @@ class TestDiscreteAndDelay:
         for t in range(40):
             u_next = 0.3 * u_curr + 0.2 * u_prev + math.cos((SQRT2 * t) % (2 * math.pi))
             u_prev, u_curr = u_curr, u_next
-        out = evaluate_affine(sys, DelayState((np.array([0.4]), np.array([-0.2]))), 40)
+        out = evaluate_affine(sys, hist, 40)
         assert out[0] == pytest.approx(u_curr, abs=1e-12)
         assert out[1] == pytest.approx(u_prev, abs=1e-12)
 
-    def test_delay_state_roundtrip_and_norm(self):
-        s = DelayState((np.array([3.0]), np.array([4.0])))
-        np.testing.assert_array_equal(s.stacked(), [3.0, 4.0])
-        assert delay_system().state_norm(s.stacked()) == pytest.approx(7.0)
-
     def test_delay_norm_kind(self):
         sys = delay_system()
-        assert sys.norm_kind == "delay_sum"
         assert sys.state_norm(np.array([3.0, 4.0])) == pytest.approx(7.0)
 
 

@@ -130,7 +130,6 @@ class TestEstimateModulus:
         assert rep.horizon == 100.0
         assert rep.min_tau == 10.0
         assert rep.scan_step == pytest.approx(0.01)
-        assert rep.solution_norm_kind == "euclidean"
 
     @pytest.mark.parametrize("min_tau", [0.0, 10.0])
     def test_a_shared_table_gives_the_same_report(self, min_tau):

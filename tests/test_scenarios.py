@@ -140,6 +140,12 @@ class TestScenarioValidation:
             # window points 0..500,000 plus shifts up to 500,000: 1,000,001 points
             ("almost_periods", AP | {"sample_dt": 1.0, "window_halfwidth": 250000.0,
                                      "scan_range": [0.0, 500000.0]}, "almost_periods.sample_dt"),
+            # one row per use of the shared positivity check that no row above pins
+            ("horizon", 0, "horizon"),
+            ("seed", {"long_run": {"start": [0.0], "burn_in": 0}}, "seed.long_run.burn_in"),
+            ("epsilons", [], "epsilons"),
+            ("delta_grid", [], "delta_grid"),
+            ("delta_grid", [0.0], "delta_grid"),
         ],
     )
     def test_hostile_input_rejected(self, key, value, field):
@@ -286,6 +292,27 @@ class TestRunScenario:
     def test_close_return_on_the_orbit_certifies(self, tmp_path):
         rec = run_scenario(Scenario.from_dict(CLOSE_RETURN_DOC), tmp_path, quiet=True)
         assert rec.verdict == "certified"
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_state_seeded_blowup_is_an_error_verdict(self, tmp_path):
+        # a state seed has no burn-in to catch the blow-up: the return images do
+        doc = bundled_scenarios()["telescoping-discrete"].to_dict()
+        doc["system"]["matrix_terms"][0]["cos"] = [[7.0]]
+        rec = run_scenario(Scenario.from_dict(doc), tmp_path, quiet=True)
+        assert rec.verdict == "error"
+        assert rec.exit_code == EXIT_ERROR
+        assert "BlowUpError" in rec.message
+        assert sorted(p.name for p in rec.run_dir.iterdir()) == sorted(RUN_FILES)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "SolverError: simplex lost precision to roundoff on x' = -x + 2 over its 314 grid "
+        "returns, the first four at tau = 0.01-0.04 where the phase never left; one return "
+        "per visit is expected to cure it"))
+    def test_equilibrium_at_two_solves(self, tmp_path):
+        doc = equilibrium_doc()
+        doc["system"]["forcing_terms"][0]["cos"] = [2.0]
+        rec = run_scenario(Scenario.from_dict(doc), tmp_path, quiet=True)
+        assert rec.verdict != "error", rec.message
 
     def test_run_counter_increments(self, tmp_path):
         scenario = bundled_scenarios()["equilibrium"]
