@@ -10,7 +10,12 @@ shape (n, n + 1), and composed by :func:`_then`: one matmul and one add of
 the last column.  The RK4 stages are formed in block form, a matrix block
 and a vector block per stage, since the generator ``[[A, f], [0, 0]]`` has
 a zero bottom row.  Discrete and delay back ends use the exact one-step
-recursion in the same top-row form.
+recursion in the same top-row form.  In state dimension 1, that of six of
+the seven bundled scenarios, every one of these products contracts over a
+single index and is one multiply, so compositions and stages are taken as
+elementwise products over the batch: the same values, where a batched
+1 x 1 matmul takes about four times as long.  Dimension 2 and up keeps the
+matmul.
 
 Per-step propagators depend only on the coefficients, so they are built
 in vectorized batches, chunk by chunk, and combined through a pairwise
@@ -21,7 +26,8 @@ from a byte budget, so peak memory does not grow with the state dimension.
 The coefficients along each chunk's uniform time grid are read by angle
 addition (:meth:`favard.torus.TrigPolynomial.along_flow`), about
 ``4 sqrt(N)`` cos/sin per term for N grid points, and summed over the terms
-by one real matrix product per block of grid nodes.
+by one real matrix product per block of grid nodes; a coefficient with only
+k = 0 terms, such as a constant A, is read as its constant, with no phasors.
 """
 
 from __future__ import annotations
@@ -39,11 +45,13 @@ from .torus import FlowGrid, QuasiPeriodicSpec, reduce_phase
 #: d x d (d = n + 1, or n (r + 1) + 1 with delay order r).  The product tree
 #: and the step stack hold only the top rows n x d, next to the coefficient
 #: and RK4 stage blocks at the half steps and their temporaries.  Peaks by
-#: ``tracemalloc`` over a three-chunk march, beyond its K result maps: to one
-#: end, about 4.8 N at n = 1, 6.3 N at n = 2 and 8.8 N at n = 8; to every
-#: tenth step, 5.3, 6.6 and 9.0 N; to every step, where the down-sweep holds
-#: the prefixes of a whole level and their gather, 9.8, 9.4 and 10.8 N.  The
-#: blocks that produce the coefficients are held apart, within
+#: ``tracemalloc`` over a three-chunk march with an A(t) that varies, beyond
+#: its K result maps: to one end, about 4.8 N at n = 1, 6.3 N at n = 2 and
+#: 8.8 N at n = 8; to every tenth step, 5.1, 6.6 and 9.0 N; to every step,
+#: where the down-sweep holds the prefixes of a whole level and their
+#: gather, 8.5, 9.1 and 11.1 N.  A constant A(t) is one broadcast matrix,
+#: which lowers each peak by 0.5 N at n = 1, 0.9 N at n = 2 and 1.6 N at
+#: n = 8.  The blocks that produce the coefficients are held apart, within
 #: ``favard.torus._PHASOR_BYTES``, whatever the number of terms.
 _CHUNK_BYTES = 8 << 20
 #: A state whose norm exceeds this factor times ``1 + |start|`` has left the
@@ -155,6 +163,9 @@ def _continuous_propagators(sys: CocycleSystem, t_start: float, n_steps: int, h:
     with ``X = (I + c U', c b')`` built from the previous stage ``(U', b')``.
     ``P = I + h/6 (U1 + 2 U2 + 2 U3 + U4)`` and ``q = h/6 (b1 + 2 b2 + 2 b3 + b4)``
     are the blocks of the augmented RK4 step, written into the step stack once.
+    In dimension 1 every stage product contracts over one index, so a stage
+    is ``(A (1 + c U'), A (c b') + f)`` taken elementwise, with no 1 x 1
+    matmul or einsum: the same values, at vector speed.
     """
     grid = FlowGrid(sys.spec, sys.base_phase, t_start, h / 2.0, 2 * n_steps + 1)
     A, f = sys.spec.matrix_form.along_flow(grid), sys.spec.forcing_form.along_flow(grid)
@@ -162,6 +173,8 @@ def _continuous_propagators(sys: CocycleSystem, t_start: float, n_steps: int, h:
     eye = np.eye(n)
 
     def stage(k: slice, c: float, U: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if n == 1:
+            return A[k] * (1.0 + c * U), A[k][..., 0] * (c * b) + f[k]
         return A[k] @ (eye + c * U), np.einsum("kij,kj->ki", A[k], c * b) + f[k]
 
     U1, b1 = A[0:-1:2], f[0:-1:2]
@@ -193,8 +206,19 @@ def _then(first: np.ndarray, second: np.ndarray, out: np.ndarray | None = None) 
     ``[U2 | b2]`` after ``[U1 | b1]`` is ``[U2 U1 | U2 b1 + b2]``: one matmul
     of ``U2`` with the whole of ``first``, then ``b2`` added to the last
     column.  This is the augmented product without its ``[0 ... 0 1]`` row.
+    In dimension 1 the matmul contracts over one index, so it is the two
+    column products ``U2 U1`` and ``U2 b1``, taken elementwise over the batch:
+    the same values (up to the sign of a zero, which matmul reads as
+    ``0 + (-0.0) = +0.0``) in 35-46 us against 143 us for a batched 1 x 1
+    matmul, over 14,563 maps.  Dimension 2 and up keeps the matmul, which
+    measured faster there than einsum or unrolled products.
     """
-    out = np.matmul(second[..., :-1], first, out=out)
+    if first.shape[-2] == 1:
+        out = np.empty(first.shape) if out is None else out
+        np.multiply(second[..., 0], first[..., 0], out=out[..., 0])
+        np.multiply(second[..., 0], first[..., 1], out=out[..., 1])
+    else:
+        out = np.matmul(second[..., :-1], first, out=out)
     out[..., -1] += second[..., -1]
     return out
 

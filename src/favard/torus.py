@@ -113,7 +113,14 @@ class TrigPolynomial:
         rotations and one node's outputs fit ``_PHASOR_BYTES``; nodes are taken
         in blocks whose rows and outputs fit that budget.  A k = 0 term has
         the phasors ``1 + 0i``, so it gives its constant exactly.
+
+        A polynomial made only of k = 0 terms is the constant ``sum_k C_k``, and
+        its values are that sum broadcast over the grid (``np.broadcast_to``),
+        with no node phases, cos/sin or matrix product: every bundled and
+        benchmark A(t) is such a constant.  That result is a read-only view.
         """
+        if not self.indices.any():
+            return np.broadcast_to(self.cos_coeffs.sum(axis=0), (grid.count, *self.value_shape))
         T = self.indices.shape[0]
         count, V = grid.count, math.prod(self.value_shape)
         B = max(1, min(math.isqrt(max(count - 1, 0)) + 1, _PHASOR_BYTES // (16 * (T + V))))

@@ -463,6 +463,22 @@ def reciprocal_shear_system(h=1e-3):
     return CocycleSystem(QuasiPeriodicSpec.from_dict(doc), np.array([0.4, 2.1]), h=h)
 
 
+def varying_scalar_system(h=1e-3):
+    """Scalar x' = a(theta) x + cos theta_2 + 0.4 sin theta_2, where a has a
+    k = (1, -1) term, so its values change along the flow."""
+    doc = {
+        "frequencies": [1.0, SQRT2],
+        "matrix_terms": [
+            {"k": [0, 0], "cos": [[-1.0]], "sin": [[0.0]]},
+            {"k": [1, -1], "cos": [[0.3]], "sin": [[-0.2]]},
+        ],
+        "forcing_terms": [{"k": [0, 1], "cos": [1.0], "sin": [0.4]}],
+        "time_domain": "continuous",
+        "dimension": 1,
+    }
+    return CocycleSystem(QuasiPeriodicSpec.from_dict(doc), np.array([0.4, 2.1]), h=h)
+
+
 def augmented_rk4_steps(sys, t0, n_steps, h):
     """Reference RK4 steps of the augmented generator [[A, f], [0, 0]], with
     the coefficients evaluated pointwise on the torus, one step at a time."""
@@ -518,6 +534,13 @@ class TestBlockFormSteps:
         got = favard.cocycle._continuous_propagators(sys, 3.7, 500, sys.h)
         self.assert_steps(got, augmented_rk4_steps(sys, 3.7, 500, sys.h))
 
+    @pytest.mark.parametrize("system", [decay_system, varying_scalar_system])
+    def test_scalar_stages_are_elementwise(self, system):
+        # in dimension 1 each stage product is one multiply, with no matmul
+        sys = system()
+        got = favard.cocycle._continuous_propagators(sys, 3.7, 500, sys.h)
+        self.assert_steps(got, augmented_rk4_steps(sys, 3.7, 500, sys.h))
+
     def test_trailing_half_step(self):
         sys = reciprocal_shear_system()
         t0 = 12 * sys.h
@@ -528,6 +551,48 @@ class TestBlockFormSteps:
         Phi_ref, b_ref = folded_path(sys, [12])
         assert_relative(Phi[0], ref[0, :2, :2] @ Phi_ref[0], rtol=1e-14)
         assert_relative(b[0], ref[0, :2, :2] @ b_ref[0] + ref[0, :2, 2], rtol=1e-14)
+
+
+def matmul_then(first, second):
+    """The composition as dimension 2 and up takes it: one matmul, then the add."""
+    out = np.matmul(second[..., :-1], first)
+    out[..., -1] += second[..., -1]
+    return out
+
+
+class TestScalarComposition:
+    """``_then`` in dimension 1, as elementwise column products, against the
+    matmul composition.
+
+    Values are compared, not bits: matmul sums its one product onto a zero,
+    so it reads ``0 + (-0.0)`` as ``+0.0`` where the product alone keeps
+    ``-0.0``.  ``np.array_equal`` holds the two zeros equal.
+    """
+
+    def maps(self, count, seed):
+        maps = np.random.default_rng(seed).uniform(-2.0, 2.0, (count, 1, 2))
+        maps[::5, 0, 0], maps[1::7, 0, 1] = -0.0, 0.0
+        return maps
+
+    def test_stacks(self):
+        first, second = self.maps(1001, 0), self.maps(1001, 1)
+        assert np.array_equal(favard.cocycle._then(first, second), matmul_then(first, second))
+
+    def test_into_a_strided_out(self):
+        # the down-sweep writes every other row of the next level's prefixes
+        first, second = self.maps(500, 2), self.maps(500, 3)
+        E = np.full((1001, 1, 2), np.nan)
+        got = favard.cocycle._then(first, second, out=E[1::2])
+        assert np.shares_memory(got, E)
+        assert np.array_equal(E[1::2], matmul_then(first, second))
+        assert np.isnan(E[0::2]).all()
+
+    def test_single_maps(self):
+        # the trailing partial step composes one (1, 2) map after another
+        for first, second in zip(self.maps(50, 4), self.maps(50, 5)):
+            got = favard.cocycle._then(first, second)
+            assert got.shape == (1, 2)
+            assert np.array_equal(got, matmul_then(first, second))
 
 
 class TestBlowUp:

@@ -437,6 +437,24 @@ class TestRunScenario:
         rows = (rec.run_dir / "almost_periods.csv").read_text().splitlines()
         assert len(rows) > 1
 
+    def test_constant_forcing_through_the_almost_period_scan(self, tmp_path):
+        # equilibrium's forcing has only a k = 0 term: the sample and the scan
+        # read it as one constant
+        ap = {"epsilon": 0.1, "window_halfwidth": 5, "scan_range": [0, 3]}
+        doc = equilibrium_doc() | {"almost_periods": ap}
+        rec = run_scenario(Scenario.from_dict(doc), tmp_path, quiet=True)
+        assert rec.verdict == "certified", rec.message
+        _, *rows = (rec.run_dir / "almost_periods.csv").read_text().splitlines()
+        assert len(rows) == 301  # every shift 0, 0.01, ..., 3 of a constant signal
+
+    def test_constant_forcing_in_discrete_time(self, tmp_path):
+        # u(t+1) = 0.5 u(t) + 1, whose bounded solution is the constant 2
+        doc = bundled_scenarios()["discrete-dichotomy"].to_dict()
+        doc["system"]["forcing_terms"] = [{"k": [0], "cos": [1.0], "sin": [0.0]}]
+        rec = run_scenario(Scenario.from_dict(doc), tmp_path, quiet=True)
+        assert rec.verdict == "certified", rec.message
+        assert rec.u_bar.tolist() == [2.0]
+
     def test_one_march_after_the_burn_in(self, tmp_path, monkeypatch):
         # the return maps, the certificate and the modulus read one table
         marched = []

@@ -221,6 +221,24 @@ class TestAlongFlow:
             flat = TrigPolynomial(zero, C[None], S[None])
             np.testing.assert_array_equal(flat.along_flow(grid), np.broadcast_to(C, got.shape))
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 3)])
+    def test_constant_polynomial(self, shape):
+        # only k = 0 terms: their summed cosines, broadcast over the grid
+        rng = np.random.default_rng(7)
+        spec, base = spec_over([1.0, SQRT2]), np.array([0.3, 1.1])
+        poly = TrigPolynomial(
+            np.zeros((4, 2), dtype=int), rng.uniform(-2, 2, (4, *shape)), rng.uniform(-2, 2, (4, *shape))
+        )
+        tol = 4 * np.finfo(float).eps * np.abs(poly.cos_coeffs).sum()
+        for count in GRID_COUNTS:
+            got = poly.along_flow(FlowGrid(spec, base, -3.0, 0.01, count))
+            direct = poly(spec.phase_at(base, -3.0 + 0.01 * np.arange(count)))
+            assert got.shape == direct.shape == (count, *shape)
+            np.testing.assert_allclose(got, direct, rtol=0, atol=tol)
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = 0.0
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.floats(-500.0, 0.0),
