@@ -19,10 +19,10 @@ matmul.
 
 Per-step propagators depend only on the coefficients, so they are built
 in vectorized batches, chunk by chunk, and combined through a pairwise
-product tree: a march to K shifts over N steps costs about
-N + K log2(2N / K) batched compositions (2N when every step is a shift) and
-no Python loop over steps or shifts.  Chunks are sized
-from a byte budget, so peak memory does not grow with the state dimension.
+product tree swept down to every step: a march over N steps costs about
+2N batched compositions, however many shifts it reads, and no Python loop
+over steps or shifts.  Chunks are sized from a byte budget, so peak memory
+does not grow with the state dimension.
 The coefficients along each chunk's uniform time grid are read by angle
 addition (:meth:`favard.torus.TrigPolynomial.along_flow`), about
 ``4 sqrt(N)`` cos/sin per term for N grid points, and summed over the terms
@@ -46,12 +46,12 @@ from .torus import FlowGrid, QuasiPeriodicSpec, reduce_phase
 #: and the step stack hold only the top rows n x d, next to the coefficient
 #: and RK4 stage blocks at the half steps and their temporaries.  Peaks by
 #: ``tracemalloc`` over a three-chunk march with an A(t) that varies, beyond
-#: its K result maps: to one end, about 4.8 N at n = 1, 6.3 N at n = 2 and
-#: 8.8 N at n = 8; to every tenth step, 5.1, 6.6 and 9.0 N; to every step,
-#: where the down-sweep holds the prefixes of a whole level and their
-#: gather, 8.5, 9.1 and 11.1 N.  A constant A(t) is one broadcast matrix,
-#: which lowers each peak by 0.5 N at n = 1, 0.9 N at n = 2 and 1.6 N at
-#: n = 8.  The blocks that produce the coefficients are held apart, within
+#: its K result maps: to one end, about 4.3 N at n = 1, 5.6 N at n = 2 and
+#: 7.9 N at n = 8, set by the step build next to the tree; to every tenth
+#: step, 4.6, 5.8 and 7.9 N; to every step, which adds the index arrays of
+#: its 3N shifts, 7.3, 7.0 and 8.1 N.  A constant A(t) is one broadcast
+#: matrix, which lowers each peak by 0.5 N at n = 1, 0.9 N at n = 2 and 1.6 N
+#: at n = 8.  The blocks that produce the coefficients are held apart, within
 #: ``favard.torus._PHASOR_BYTES``, whatever the number of terms.
 _CHUNK_BYTES = 8 << 20
 #: A state whose norm exceeds this factor times ``1 + |start|`` has left the
@@ -229,24 +229,15 @@ def _prefix_products(build, ends: np.ndarray, n: int) -> np.ndarray:
 
     ``build(pos, count)`` returns the step maps ``S[pos:pos + count]`` as top
     rows.  Per chunk, level k of a pairwise tree holds the m_k compositions of
-    the aligned blocks of 2**k steps, written into one buffer (N compositions
-    for N steps).  The ends are read in two parts (Blelloch 1990):
-
-    * a down-sweep from the carry, the map up to the chunk start, gives the
-      m_k + 1 exclusive prefixes E_k of each level k, down to the lowest
-      level k0 with no more nodes than the chunk has ends (counting the
-      carry row): the even rows of E_k are E_{k+1}, and the odd rows are
-      E_{k+1} then every other node of level k, one batched composition;
-    * each end takes its prefix at level k0, ``E_k0[offset >> k0]``, and
-      composes the nodes along the binary digits of its offset below k0,
-      one batched composition per level over all ends in the chunk.
-
-    Both parts make the same compositions, in the same order, as composing
-    every digit of every end, so the maps do not depend on how many ends a
-    chunk holds; a chunk with one end (the burn-in) descends a level or two
-    only and keeps to the digit path.  Every
-    composition is :func:`_then`.  The result, of shape (K, n, n + 1), is in
-    the order of ``ends``.
+    the aligned blocks of 2**k steps, written into one buffer, and a down-sweep
+    (Blelloch 1990) from the carry, the map up to the chunk start, gives the
+    m_k + 1 exclusive prefixes E_k of every level: the even rows of E_k are
+    E_{k+1}, and the odd rows are E_{k+1} then every other node of level k,
+    one batched composition.  E_0 holds the map up to every step of the chunk,
+    so each end is one row of it, and its last row is the next carry.  That
+    is about 2N compositions, all by :func:`_then`, and the same bits however
+    many ends share the march.  The result, of shape (K, n, n + 1), is in the
+    order of ``ends``.
     """
     order = np.argsort(ends, kind="stable")
     ends = ends[order]
@@ -256,7 +247,7 @@ def _prefix_products(build, ends: np.ndarray, n: int) -> np.ndarray:
     last = int(ends[-1]) if ends.size else 0
     chunk = min(_chunk_steps(n + 1), max(last, 1))
     tree = np.empty((chunk - 1, n, n + 1))  # level k >= 1 holds chunk >> k nodes
-    carry = identity
+    E = identity[None]  # the carry: the map up to the chunk start
     for pos in range(0, last, chunk):
         count = min(chunk, last - pos)
         hi = int(np.searchsorted(ends, pos + count, side="right"))
@@ -265,20 +256,14 @@ def _prefix_products(build, ends: np.ndarray, n: int) -> np.ndarray:
             below, m = levels[-1], levels[-1].shape[0] // 2
             levels.append(_then(below[0 : 2 * m : 2], below[1 : 2 * m : 2], out=tree[used : used + m]))
             used += m
-        offsets = np.append(ends[lo:hi] - pos, count)  # the last row carries to the next chunk
-        E, k0 = carry[None], len(levels)  # E[j]: the map up to offset j << k0
-        while k0 > 0 and levels[k0 - 1].shape[0] <= offsets.size:
-            k0 -= 1
-            m = levels[k0].shape[0]
+        for level in reversed(levels):  # at level k, E[j] is the map up to step pos + (j << k)
+            m = level.shape[0]
             E, above = np.empty((m + 1, n, n + 1)), E
             E[0::2] = above
-            _then(above[: (m + 1) // 2], levels[k0][0::2], out=E[1::2])
-        R = E[offsets >> k0]
-        for k in range(k0 - 1, -1, -1):
-            sel = np.flatnonzero(offsets & (1 << k))
-            R[sel] = _then(R[sel], levels[k][(offsets[sel] >> k) - 1])  # the node after the higher digits
-        out[order[lo:hi]] = R[:-1]
-        carry, lo = R[-1], hi
+            _then(above[: (m + 1) // 2], level[0::2], out=E[1::2])
+        out[order[lo:hi]] = E[ends[lo:hi] - pos]
+        E, lo = E[-1:].copy(), hi
+        del levels, level, above  # not held through the next chunk's build
     return out
 
 

@@ -281,7 +281,7 @@ def resolve_seed(sys: CocycleSystem, scenario: Scenario) -> tuple[CocycleSystem,
     start = np.asarray(lr["start"], dtype=float)
     burn = float(lr["burn_in"])
     if not sys.continuous:
-        burn = float(round(burn))
+        burn = float(sys.steps(burn))
     u = evaluate_affine(sys, start, burn)
     check_bounded(float(sys.state_norm(u)), float(sys.state_norm(start)), "burn-in state", t=burn)
     return sys.shifted(burn), u
@@ -324,12 +324,15 @@ def _stage(stages: dict, name: str):
         stages[name] = time.perf_counter() - start
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_scenario(scenario: Scenario, lines: list, meta: dict) -> tuple:
     """The pipeline's front half, seed to min-max solve, appending its summary
     line to ``lines`` and its stage timings and table counters to ``meta``.
 
     Returns ``(system, returns, table, problem, result)``, the system
     re-anchored after any burn-in; the last three are None with no returns.
+    A march that overflows prints no numpy warning: its non-finite maps meet
+    :func:`check_bounded` or the finite check of :func:`evaluate_affine`.
     """
     stages = meta["stages"] = {}
     with _stage(stages, "seed"):
@@ -395,7 +398,7 @@ def _analyse(scenario: Scenario, digest: str, files: dict, lines: list, meta: di
 
     comp = None
     if report.verdict == "certified":
-        with _stage(stages, "modulus"):
+        with _stage(stages, "modulus"), np.errstate(over="ignore", invalid="ignore"):
             comp = estimate_modulus(sys, result.u_bar, scenario.epsilons,
                                     scenario.comparability_horizon or scenario.horizon,
                                     delta_grid=grid, min_tau=scenario.min_tau,

@@ -500,14 +500,14 @@ def augmented_rk4_steps(sys, t0, n_steps, h):
 
 
 class TestDenseEnds:
-    """Ends at every step of a march against ends read one at a time."""
+    """Ends at every step of a march against ends read a few at a time."""
 
     @pytest.mark.parametrize("system", [decay_system, reciprocal_shear_system, delay_system])
     @pytest.mark.parametrize("chunk", [5, 13, 16])
     def test_dense_ends_are_exact(self, system, chunk, monkeypatch):
-        # a march to every step reads its ends off the down-sweep of each
-        # chunk's tree; one to (e, last) composes e along its binary digits.
-        # Both make the same compositions in the same order.
+        # every march sweeps each chunk's tree down to its single steps and
+        # reads an end as one row there, so a march to (e, last) makes the
+        # compositions of a march to every step, in the same order
         sys = system()
         d = sys.state_dim + 1
         monkeypatch.setattr(favard.cocycle, "_CHUNK_BYTES", chunk * 9 * 8 * d * d)
@@ -518,6 +518,22 @@ class TestDenseEnds:
             Phi_e, b_e = affine_path(sys, np.array([e, last]) * sys.step)
             assert np.array_equal(Phi_e[0], Phi[e]) and np.array_equal(b_e[0], b[e]), e
             assert np.array_equal(Phi_e[1], Phi[last]) and np.array_equal(b_e[1], b[last]), e
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from([decay_system, reciprocal_shear_system, delay_system]),
+           st.sampled_from([5, 13, 16]), st.data())
+    def test_any_ends_read_the_rows_of_every_step(self, system, chunk, data):
+        # the same bits however many shifts share the march: the pipeline
+        # reads its returns and its modulus rows off one table
+        sys = system()
+        d = sys.state_dim + 1
+        last = 6 * chunk + 3
+        ends = data.draw(st.lists(st.integers(0, last - 1), unique=True, max_size=30)) + [last]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(favard.cocycle, "_CHUNK_BYTES", chunk * 9 * 8 * d * d)
+            Phi, b = affine_path(sys, np.arange(last + 1) * sys.step)
+            Phi_e, b_e = affine_path(sys, np.array(ends) * sys.step)
+        assert np.array_equal(Phi_e, Phi[ends]) and np.array_equal(b_e, b[ends])
 
 
 class TestBlockFormSteps:

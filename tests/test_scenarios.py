@@ -219,6 +219,19 @@ class TestSeeding:
         u1 = resolve_seed(sys2, scenario)[1]
         assert abs(u1[0] - u0[0]) < 1.0  # both on the bounded orbit
 
+    @pytest.mark.parametrize("burn, steps", [(2.5, 2), (3.5, 3)])
+    def test_discrete_burn_in_takes_whole_steps(self, burn, steps):
+        # the one step rule of min_tau, not round(), which takes 3.5 to 4
+        def seeded(burn_in):
+            doc = bundled_scenarios()["discrete-dichotomy"].to_dict()
+            doc["seed"]["long_run"]["burn_in"] = burn_in
+            scenario = Scenario.from_dict(doc)
+            return resolve_seed(build_system(scenario), scenario)
+
+        (sys, u0), (sys_ref, u0_ref) = seeded(burn), seeded(steps)
+        assert np.array_equal(u0, u0_ref)
+        assert np.array_equal(sys.base_phase, sys_ref.base_phase)
+
 
 #: A scalar discrete recursion (delay order 0, nu = 2.8304) whose bounded
 #: solution has a closed form; its near returns are 202, 313 and 515.
@@ -237,6 +250,16 @@ CLOSE_RETURN_DOC = {
     "seed": {"long_run": {"start": [0.0], "burn_in": 100}},
     "horizon": 600.0, "epsilons": [0.1, 0.01], "delta_cap": 0.02007389724029096,
 }
+
+
+def unstable_docs():
+    # a state seed has no burn-in to catch the blow-up: the return images do
+    state = bundled_scenarios()["telescoping-discrete"].to_dict()
+    state["system"]["matrix_terms"][0]["cos"] = [[7.0]]
+    # a long burn-in overflows before its state is checked
+    long_run = bundled_scenarios()["unstable-blowup"].to_dict()
+    long_run["seed"]["long_run"]["burn_in"] = 10000
+    return [state, long_run]
 
 
 class TestRunScenario:
@@ -293,11 +316,10 @@ class TestRunScenario:
         rec = run_scenario(Scenario.from_dict(CLOSE_RETURN_DOC), tmp_path, quiet=True)
         assert rec.verdict == "certified"
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
-    def test_state_seeded_blowup_is_an_error_verdict(self, tmp_path):
-        # a state seed has no burn-in to catch the blow-up: the return images do
-        doc = bundled_scenarios()["telescoping-discrete"].to_dict()
-        doc["system"]["matrix_terms"][0]["cos"] = [[7.0]]
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("doc", unstable_docs(), ids=["state-seeded", "long-run"])
+    def test_state_seeded_blowup_is_an_error_verdict(self, tmp_path, doc):
+        # an overflowing march prints no numpy warning on its way to the verdict
         rec = run_scenario(Scenario.from_dict(doc), tmp_path, quiet=True)
         assert rec.verdict == "error"
         assert rec.exit_code == EXIT_ERROR
